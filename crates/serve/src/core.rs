@@ -22,7 +22,8 @@ use rsc_monitor::runner::{MonitorArtifact, MonitoredRunner};
 use rsc_monitor::tap::MonitorSink;
 use rsc_sim::config::SimConfig;
 use rsc_sim::runner::{snapshot_file_name, ScenarioRunner, ScenarioSpec};
-use rsc_telemetry::snapshot::load_snapshot_file;
+use rsc_telemetry::snapshot::{load_snapshot_file, SnapshotError};
+use rsc_telemetry::view::TelemetryView;
 
 use crate::cache::{AnalysisCache, SealedAnalysis};
 use crate::events::monitor_event_json;
@@ -90,6 +91,9 @@ pub struct ServiceState {
     cache: AnalysisCache,
     hub: EventHub,
     requests: AtomicU64,
+    /// Sealed snapshots that existed on disk but failed to load when a
+    /// read asked for them.
+    corrupt_reads: AtomicU64,
 }
 
 impl ServiceState {
@@ -107,6 +111,7 @@ impl ServiceState {
             hub: EventHub::new(config.sse_buffer),
             runner,
             requests: AtomicU64::new(0),
+            corrupt_reads: AtomicU64::new(0),
             config,
         })
     }
@@ -182,17 +187,45 @@ impl ServiceState {
     /// three paths — live execution, LRU hit, disk reload — render the
     /// identical bytes, because the analysis is a pure function of
     /// (fingerprint, sealed view, monitor config).
-    pub fn analysis_for(&self, fingerprint: u64) -> Option<Arc<SealedAnalysis>> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::sealed_view`]: `Ok(None)` when no snapshot is on record.
+    pub fn analysis_for(
+        &self,
+        fingerprint: u64,
+    ) -> Result<Option<Arc<SealedAnalysis>>, SnapshotError> {
         if let Some(hit) = self.cache.get(fingerprint) {
-            return Some(hit);
+            return Ok(Some(hit));
         }
-        let path = self.config.cache_dir.join(snapshot_file_name(fingerprint));
-        let view = load_snapshot_file(&path).ok()?;
+        let Some(view) = self.sealed_view(fingerprint)? else {
+            return Ok(None);
+        };
         let mut monitor = ReliabilityMonitor::new(self.runner.config().clone());
         replay_view(&view, &mut monitor);
         let sealed = Arc::new(SealedAnalysis::new(fingerprint, monitor.report()));
         self.cache.insert(Arc::clone(&sealed));
-        Some(sealed)
+        Ok(Some(sealed))
+    }
+
+    /// The sealed snapshot for a fingerprint from the artifact cache, or
+    /// `Ok(None)` when there is no such file.
+    ///
+    /// # Errors
+    ///
+    /// A snapshot that exists but fails to load (corrupt, truncated, not
+    /// readable) is an error, counted in `/healthz`
+    /// `artifact_cache.corrupt`, and never reads as missing.
+    fn sealed_view(&self, fingerprint: u64) -> Result<Option<TelemetryView>, SnapshotError> {
+        let path = self.config.cache_dir.join(snapshot_file_name(fingerprint));
+        match load_snapshot_file(&path) {
+            Ok(view) => Ok(Some(view)),
+            Err(_) if !path.exists() => Ok(None),
+            Err(e) => {
+                self.corrupt_reads.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
+        }
     }
 
     /// Requests handled so far (any route, including rejections).
@@ -248,8 +281,8 @@ impl ServiceState {
     }
 
     /// The `/healthz` body: queue depths, artifact-cache counters
-    /// (including corruption and failed publishes), LRU counters, SSE hub
-    /// counters.
+    /// (including failed publishes, and corruption whether the runner or
+    /// an analysis read found it), LRU counters, SSE hub counters.
     fn healthz_json(&self) -> String {
         let queue = self.jobs.counts();
         let artifacts = self.runner.runner().stats();
@@ -272,7 +305,11 @@ impl ServiceState {
                 &json::Object::new()
                     .field("hits", &artifacts.hits.to_string())
                     .field("misses", &artifacts.misses.to_string())
-                    .field("corrupt", &artifacts.corrupt.to_string())
+                    .field(
+                        "corrupt",
+                        &(artifacts.corrupt as u64 + self.corrupt_reads.load(Ordering::Relaxed))
+                            .to_string(),
+                    )
                     .field("publish_failed", &artifacts.publish_failed.to_string())
                     .finish(),
             )
@@ -411,8 +448,11 @@ impl ServiceState {
                         .analysis_csv(snap.fingerprint, req.query("kind").unwrap_or("alerts"));
                 }
                 match self.analysis_for(snap.fingerprint) {
-                    Some(sealed) => Response::json(200, sealed.json.to_string()),
-                    None => Response::error(404, "analysis_missing", "sealed artifact not found"),
+                    Ok(Some(sealed)) => Response::json(200, sealed.json.to_string()),
+                    Ok(None) => {
+                        Response::error(404, "analysis_missing", "sealed artifact not found")
+                    }
+                    Err(e) => corrupt_artifact(&e),
                 }
             }
             crate::jobs::JobState::Failed(detail) => Response::error(500, "job_failed", detail),
@@ -439,39 +479,54 @@ impl ServiceState {
         }
         let mut body = Vec::new();
         let rendered = match artifact {
-            MonitorArtifact::Alerts => self.analysis_for(fingerprint).is_some_and(|sealed| {
-                rsc_telemetry::csv::write_csv(
-                    &mut body,
-                    &ALERTS_CSV_HEADER,
-                    alerts_rows(&sealed.report.alerts),
-                )
-                .is_ok()
+            MonitorArtifact::Alerts => self.analysis_for(fingerprint).map(|sealed| {
+                sealed.is_some_and(|sealed| {
+                    rsc_telemetry::csv::write_csv(
+                        &mut body,
+                        &ALERTS_CSV_HEADER,
+                        alerts_rows(&sealed.report.alerts),
+                    )
+                    .is_ok()
+                })
             }),
-            _ => load_snapshot_file(&dir.join(snapshot_file_name(fingerprint))).is_ok_and(|view| {
-                rsc_telemetry::csv::write_csv(
-                    &mut body,
-                    &ACTIONS_CSV_HEADER,
-                    actions_rows(view.control_actions()),
-                )
-                .is_ok()
+            _ => self.sealed_view(fingerprint).map(|view| {
+                view.is_some_and(|view| {
+                    rsc_telemetry::csv::write_csv(
+                        &mut body,
+                        &ACTIONS_CSV_HEADER,
+                        actions_rows(view.control_actions()),
+                    )
+                    .is_ok()
+                })
             }),
         };
-        if rendered {
-            Response::csv(200, body)
-        } else {
-            Response::error(404, "csv_missing", "sealed CSV artifact not found")
+        match rendered {
+            Ok(true) => Response::csv(200, body),
+            Ok(false) => Response::error(404, "csv_missing", "sealed CSV artifact not found"),
+            Err(e) => corrupt_artifact(&e),
         }
     }
 
     fn fingerprint_analysis(&self, raw_fp: &str) -> Response {
-        match u64::from_str_radix(raw_fp, 16)
+        let found = u64::from_str_radix(raw_fp, 16)
             .ok()
-            .and_then(|fp| self.analysis_for(fp))
-        {
-            Some(sealed) => Response::json(200, sealed.json.to_string()),
-            None => Response::error(404, "unknown_fingerprint", "no sealed analysis on record"),
+            .map_or(Ok(None), |fp| self.analysis_for(fp));
+        match found {
+            Ok(Some(sealed)) => Response::json(200, sealed.json.to_string()),
+            Ok(None) => Response::error(404, "unknown_fingerprint", "no sealed analysis on record"),
+            Err(e) => corrupt_artifact(&e),
         }
     }
+}
+
+/// The answer for a sealed artifact that exists but failed to load: a
+/// server-side fault, not a missing resource.
+fn corrupt_artifact(e: &SnapshotError) -> Response {
+    Response::error(
+        500,
+        "artifact_corrupt",
+        &format!("sealed artifact failed to load: {e}"),
+    )
 }
 
 /// Whether the request negotiates a CSV body (`Accept` mentions
@@ -718,7 +773,7 @@ mod tests {
         let json = respond(&state, &get("/api/v1/jobs/0/analysis"));
         assert_eq!(json.status, 200);
         let fp = state.jobs().get(0).unwrap().fingerprint;
-        let expected = state.analysis_for(fp).unwrap();
+        let expected = state.analysis_for(fp).unwrap().unwrap();
         assert_eq!(json.body, expected.json.as_bytes());
         let alerts = respond(&state, &get_csv("/api/v1/jobs/0/analysis"));
         assert_eq!((alerts.status, alerts.content_type), (200, "text/csv"));
@@ -750,6 +805,52 @@ mod tests {
             w.join().unwrap();
         }
         let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn corrupt_sealed_artifact_is_a_typed_500_not_a_404() {
+        let dir = temp_cache("corrupt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServiceState::new(ServiceConfig::with_cache_dir(&dir));
+        let workers = state.spawn_job_workers();
+        assert_eq!(
+            respond(&state, &post("/api/v1/sweeps?seeds=5&days=2")).status,
+            202
+        );
+        wait_sealed(&state, 0);
+        state.begin_shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let fp = state.jobs().get(0).unwrap().fingerprint;
+
+        // Re-spell the first row after the first frame line with a leading
+        // `+`: the same record, bytes the writer never emits.
+        let snap = dir.join(snapshot_file_name(fp));
+        let text = std::fs::read_to_string(&snap).unwrap();
+        let frame = text.find("\nframe ").unwrap() + 1;
+        let row = frame + text[frame..].find('\n').unwrap() + 1;
+        std::fs::write(&snap, format!("{}+{}", &text[..row], &text[row..])).unwrap();
+
+        // A fresh state has a cold LRU, so the read goes to disk.
+        let fresh = ServiceState::new(ServiceConfig::with_cache_dir(&dir));
+        let resp = respond(&fresh, &get(&format!("/api/v1/analysis/{fp:016x}")));
+        assert_eq!(resp.status, 500);
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("\"artifact_corrupt\""));
+        let missing = respond(&fresh, &get(&format!("/api/v1/analysis/{:016x}", fp ^ 1)));
+        assert_eq!(missing.status, 404);
+
+        // The action log re-renders from the snapshot once its CSV is gone.
+        std::fs::remove_file(dir.join(MonitorArtifact::Actions.file_name(fp))).unwrap();
+        let actions = respond(&state, &get_csv("/api/v1/jobs/0/analysis?kind=actions"));
+        assert_eq!(actions.status, 500);
+        let health = String::from_utf8(respond(&fresh, &get("/healthz")).body).unwrap();
+        assert!(health.contains("\"corrupt\":1,"), "{health}");
+        let health = String::from_utf8(respond(&state, &get("/healthz")).body).unwrap();
+        assert!(health.contains("\"corrupt\":1,"), "{health}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

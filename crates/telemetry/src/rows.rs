@@ -1,19 +1,20 @@
 //! Row-level text codecs for telemetry records.
 //!
 //! One encoder/decoder pair per stream, shared by every format version
-//! of the snapshot ([`crate::snapshot`]) and the trace exporter.
+//! of the snapshot ([`crate::snapshot`]) and the job trace.
 //!
 //! Encoders append one row (no trailing newline) to a caller's buffer:
 //! integers are written digit by digit and labels are `&'static str`, so
-//! encoding a record allocates nothing. Decoders split a row into a
-//! fixed-size field array and parse each number at its field's own width
-//! ([`parse_num`]), so an out-of-range value is refused, never truncated;
-//! they allocate only for the record itself (a job's node list) and build an
-//! error message only on the failure path. Errors are a plain `String`;
-//! callers attach location context (snapshot line numbers).
+//! encoding a record allocates nothing. Decoders walk the row's bytes once
+//! with a [`Row`] cursor and accept exactly what the encoders write:
+//! digits only, no sign, no leading zero except in `0`, each number at its
+//! field's own width (a value past it is refused, never truncated), labels
+//! only from the fixed tables, and the exact field count. They allocate
+//! only for the record itself (a job's node list) and build an error
+//! message only on the failure path. Errors are a plain `String`; callers
+//! attach location context (snapshot or trace line numbers).
 
-use std::io::{self, BufRead, Write};
-use std::str::FromStr;
+use std::io::{self, Write};
 
 use rsc_cluster::gpu::XidError;
 use rsc_cluster::ids::{JobId, NodeId};
@@ -23,28 +24,18 @@ use rsc_failure::signals::SignalKind;
 use rsc_failure::taxonomy::FailureSymptom;
 use rsc_health::check::CheckKind;
 use rsc_health::monitor::HealthEvent;
-use rsc_sched::accounting::JobRecord;
 use rsc_sim_core::time::{SimDuration, SimTime};
 
 use crate::store::{
     CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
     NodeEvent, NodeEventKind,
 };
-pub(crate) use crate::trace::format_job_row as encode_job;
-use crate::trace::parse_job_row;
+pub(crate) use crate::trace::{decode_job_row as decode_job, format_job_row as encode_job};
 
 pub(crate) fn severity_label(s: Severity) -> &'static str {
     match s {
         Severity::High => "high",
         Severity::Low => "low",
-    }
-}
-
-fn parse_severity(s: &str) -> Option<Severity> {
-    match s {
-        "high" => Some(Severity::High),
-        "low" => Some(Severity::Low),
-        _ => None,
     }
 }
 
@@ -87,18 +78,22 @@ fn push_signal(out: &mut Vec<u8>, s: SignalKind) {
     }
 }
 
-fn parse_signal(s: &str) -> Option<SignalKind> {
-    if let Some(&(kind, _)) = PLAIN_SIGNALS.iter().find(|(_, label)| *label == s) {
-        return Some(kind);
+/// Decodes a signal tag; the empty tag is no signal.
+fn parse_signal(s: &[u8]) -> Option<Option<SignalKind>> {
+    if s.is_empty() {
+        return Some(None);
     }
-    if let Some(code) = s.strip_prefix("xido") {
-        return code
-            .parse::<u16>()
-            .ok()
-            .map(|c| SignalKind::Xid(XidError::Other(c)));
+    if let Some(&(kind, _)) = PLAIN_SIGNALS
+        .iter()
+        .find(|(_, label)| label.as_bytes() == s)
+    {
+        return Some(Some(kind));
     }
-    if let Some(code) = s.strip_prefix("xid") {
-        let xid = match code.parse::<u16>().ok()? {
+    if let Some(code) = s.strip_prefix(b"xido") {
+        return parse_uint(code).map(|c| Some(SignalKind::Xid(XidError::Other(c))));
+    }
+    if let Some(code) = s.strip_prefix(b"xid") {
+        let xid = match parse_uint::<u16>(code)? {
             48 => XidError::DoubleBitEcc,
             64 => XidError::RowRemapFailure,
             74 => XidError::NvlinkError,
@@ -107,17 +102,9 @@ fn parse_signal(s: &str) -> Option<SignalKind> {
             31 => XidError::MemoryPageFault,
             _ => return None,
         };
-        return Some(SignalKind::Xid(xid));
+        return Some(Some(SignalKind::Xid(xid)));
     }
     None
-}
-
-fn parse_check(s: &str) -> Option<CheckKind> {
-    CheckKind::ALL.iter().copied().find(|c| c.label() == s)
-}
-
-fn parse_symptom(s: &str) -> Option<FailureSymptom> {
-    FailureSymptom::ALL.iter().copied().find(|x| x.label() == s)
 }
 
 pub(crate) fn node_event_kind_label(k: NodeEventKind) -> &'static str {
@@ -131,24 +118,6 @@ pub(crate) fn node_event_kind_label(k: NodeEventKind) -> &'static str {
         NodeEventKind::ProbationPassed => "probation_passed",
         NodeEventKind::ProbationFailed => "probation_failed",
         NodeEventKind::Quarantined => "quarantined",
-    }
-}
-
-/// Version-gated kind parser: the v1 vocabulary rejects lifecycle kinds.
-/// Versions ≥ 2 accept everything.
-pub(crate) fn parse_node_event_kind(s: &str, version: u32) -> Option<NodeEventKind> {
-    match s {
-        "drain" => Some(NodeEventKind::Drain),
-        "enter_remediation" => Some(NodeEventKind::EnterRemediation),
-        "exit_remediation" => Some(NodeEventKind::ExitRemediation),
-        _ if version < 2 => None,
-        "repair_attempt_failed" => Some(NodeEventKind::RepairAttemptFailed),
-        "repair_escalated" => Some(NodeEventKind::RepairEscalated),
-        "enter_probation" => Some(NodeEventKind::EnterProbation),
-        "probation_passed" => Some(NodeEventKind::ProbationPassed),
-        "probation_failed" => Some(NodeEventKind::ProbationFailed),
-        "quarantined" => Some(NodeEventKind::Quarantined),
-        _ => None,
     }
 }
 
@@ -191,73 +160,155 @@ pub(crate) fn write_rows<W: Write, T>(
     Ok(())
 }
 
-/// Reads the next line into `buf` (cleared first) without its line
-/// ending and returns `false` at end of input. Strips a trailing `\n`,
-/// then a `\r` before it — exactly what `BufRead::lines` yields — but
-/// reuses one buffer instead of allocating a `String` per line. Non-UTF-8
-/// input is an [`io::ErrorKind::InvalidData`] error, as with `lines`.
-pub(crate) fn read_line<R: BufRead>(r: &mut R, buf: &mut String) -> io::Result<bool> {
-    buf.clear();
-    if r.read_line(buf)? == 0 {
-        return Ok(false);
-    }
-    if buf.ends_with('\n') {
-        buf.pop();
-        if buf.ends_with('\r') {
-            buf.pop();
-        }
-    }
-    Ok(true)
-}
-
-/// Splits `row` on `,` into exactly `N` fields; `None` on any other count.
-/// A byte scan: every delimiter is ASCII, so each cut is a char boundary.
-pub(crate) fn split_row<const N: usize>(row: &str) -> Option<[&str; N]> {
-    let mut fields = [""; N];
+/// Parses the canonical decimal at the start of `s` as a `T` and returns
+/// it with the number of bytes it spans: ASCII digits only, no sign, and
+/// no leading zero unless the number is `0` itself. `None` when `s` does
+/// not start with a digit, when a leading `0` is followed by another
+/// digit, or when `T` cannot hold the value (it is refused, never
+/// truncated).
+fn leading<T: TryFrom<u64>>(s: &[u8]) -> Option<(T, usize)> {
+    let mut v = 0u64;
     let mut n = 0;
-    let mut start = 0;
-    for (i, &b) in row.as_bytes().iter().enumerate() {
-        if b == b',' {
-            if n + 1 == N {
-                return None; // more than `N` fields
-            }
-            fields[n] = &row[start..i];
-            n += 1;
-            start = i + 1;
-        }
+    while let Some(&b) = s.get(n).filter(|b| b.is_ascii_digit()) {
+        v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        n += 1;
     }
-    if n + 1 != N {
+    if n == 0 || (n > 1 && s[0] == b'0') {
         return None;
     }
-    fields[n] = &row[start..];
-    Some(fields)
+    Some((T::try_from(v).ok()?, n))
 }
 
-fn split_fields<'a, const N: usize>(row: &'a str, what: &str) -> Result<[&'a str; N], String> {
-    split_row(row).ok_or_else(|| {
-        format!(
-            "{what} row needs {N} fields, got {}",
-            row.split(',').count()
-        )
-    })
+/// Parses all of `s` as a canonical decimal that fits `T` ([`leading`]).
+pub(crate) fn parse_uint<T: TryFrom<u64>>(s: &[u8]) -> Option<T> {
+    leading(s).filter(|(_, n)| *n == s.len()).map(|(v, _)| v)
 }
 
-/// Parses a decimal field as `T` (`str::parse`, so a leading `+` is
-/// accepted); a value `T` cannot hold is an error, not a truncation.
-pub(crate) fn parse_num<T: FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse::<T>().map_err(|_| format!("bad {what}: {s:?}"))
+/// A cursor over one row (its `\n` already stripped) that decodes the
+/// fields in order, in place. Each field must be followed by `,`, and the
+/// last one by the end of the row, so the field count is exact and any
+/// other byte after a field (a `\r`, say) refuses the row.
+pub(crate) struct Row<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Fields not yet read.
+    left: usize,
+    fields: usize,
 }
 
-fn parse_bool(s: &str) -> Result<bool, String> {
-    match s {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(format!("bad bool: {s:?}")),
+impl<'a> Row<'a> {
+    /// A cursor over `bytes`, a row of exactly `fields` fields.
+    pub(crate) fn new(bytes: &'a [u8], fields: usize) -> Self {
+        Row {
+            bytes,
+            pos: 0,
+            left: fields,
+            fields,
+        }
     }
-}
 
-pub(crate) fn decode_job(row: &str) -> Result<JobRecord, String> {
-    parse_job_row(row, 0).map_err(|e| format!("bad job row: {}", e.message))
+    /// Steps over the delimiter after a field that began at `start`.
+    fn end_field(&mut self, what: &str, start: usize) -> Result<(), String> {
+        self.left -= 1;
+        match (self.bytes.get(self.pos), self.left) {
+            (Some(b','), 1..) => {
+                self.pos += 1;
+                Ok(())
+            }
+            (None, 0) => Ok(()),
+            (None, _) | (Some(b','), 0) => Err(format!(
+                "expected {} fields, got {}",
+                self.fields,
+                self.bytes.iter().filter(|&&b| b == b',').count() + 1
+            )),
+            _ => Err(self.bad(what, start)),
+        }
+    }
+
+    /// The error for a field that began at `start`, quoting it.
+    fn bad(&self, what: &str, start: usize) -> String {
+        let field = self.bytes[start..].split(|&b| b == b',').next();
+        format!(
+            "bad {what}: {:?}",
+            String::from_utf8_lossy(field.unwrap_or(&[]))
+        )
+    }
+
+    /// The next field's bytes, up to the next `,` or the end of the row.
+    fn field(&mut self, what: &str) -> Result<&'a [u8], String> {
+        let (bytes, start) = (self.bytes, self.pos);
+        let end = start + bytes[start..].iter().take_while(|&&b| b != b',').count();
+        self.pos = end;
+        self.end_field(what, start)?;
+        Ok(&bytes[start..end])
+    }
+
+    /// The next field decoded by `parse`; `None` refuses it.
+    pub(crate) fn parse<T>(
+        &mut self,
+        what: &str,
+        parse: impl Fn(&[u8]) -> Option<T>,
+    ) -> Result<T, String> {
+        let start = self.pos;
+        let field = self.field(what)?;
+        parse(field).ok_or_else(|| self.bad(what, start))
+    }
+
+    /// The next field as the entry of `all` whose `label` it is.
+    pub(crate) fn label<T: Copy>(
+        &mut self,
+        what: &str,
+        all: &[T],
+        label: impl Fn(T) -> &'static str,
+    ) -> Result<T, String> {
+        self.parse(what, |s| {
+            all.iter().copied().find(|&x| label(x).as_bytes() == s)
+        })
+    }
+
+    /// The next field as `0` (false) or `1` (true).
+    pub(crate) fn flag(&mut self, what: &str) -> Result<bool, String> {
+        self.parse(what, |s| match s {
+            b"0" => Some(false),
+            b"1" => Some(true),
+            _ => None,
+        })
+    }
+
+    /// The next field as a canonical decimal that fits `T` ([`leading`]),
+    /// read digit by digit in one pass.
+    pub(crate) fn num<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, String> {
+        let start = self.pos;
+        let (v, n) = leading(&self.bytes[start..]).ok_or_else(|| self.bad(what, start))?;
+        self.pos += n;
+        self.end_field(what, start)?;
+        Ok(v)
+    }
+
+    /// The next field as [`Self::num`], or `None` when it is empty.
+    pub(crate) fn opt_num<T: TryFrom<u64>>(&mut self, what: &str) -> Result<Option<T>, String> {
+        if let None | Some(b',') = self.bytes.get(self.pos) {
+            self.end_field(what, self.pos)?;
+            return Ok(None);
+        }
+        self.num(what).map(Some)
+    }
+
+    /// The next field as a `;`-separated list of `u32`s, each mapped by
+    /// `f`; an empty field is an empty list, sized exactly from the row's
+    /// own `;` count.
+    pub(crate) fn list<T>(&mut self, what: &str, f: impl Fn(u32) -> T) -> Result<Vec<T>, String> {
+        let start = self.pos;
+        let field = self.field(what)?;
+        if field.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut out = Vec::with_capacity(field.iter().filter(|&&b| b == b';').count() + 1);
+        for entry in field.split(|&b| b == b';') {
+            out.push(f(parse_uint(entry).ok_or_else(|| self.bad(what, start))?));
+        }
+        Ok(out)
+    }
 }
 
 pub(crate) fn encode_health(e: &HealthEvent, out: &mut Vec<u8>) {
@@ -276,20 +327,15 @@ pub(crate) fn encode_health(e: &HealthEvent, out: &mut Vec<u8>) {
     out.push(b'0' + u8::from(e.false_positive));
 }
 
-pub(crate) fn decode_health(row: &str) -> Result<HealthEvent, String> {
-    let [at, node, check, severity, signal, false_positive] = split_fields(row, "health")?;
-    let signal = if signal.is_empty() {
-        None
-    } else {
-        Some(parse_signal(signal).ok_or_else(|| format!("bad signal: {signal:?}"))?)
-    };
+pub(crate) fn decode_health(row: &[u8]) -> Result<HealthEvent, String> {
+    let mut f = Row::new(row, 6);
     Ok(HealthEvent {
-        at: SimTime::from_secs(parse_num(at, "time")?),
-        node: NodeId::new(parse_num(node, "node")?),
-        check: parse_check(check).ok_or_else(|| format!("bad check: {check:?}"))?,
-        severity: parse_severity(severity).ok_or_else(|| format!("bad severity: {severity:?}"))?,
-        signal,
-        false_positive: parse_bool(false_positive)?,
+        at: SimTime::from_secs(f.num("time")?),
+        node: NodeId::new(f.num("node")?),
+        check: f.label("check", &CheckKind::ALL, CheckKind::label)?,
+        severity: f.label("severity", &[Severity::High, Severity::Low], severity_label)?,
+        signal: f.parse("signal", parse_signal)?,
+        false_positive: f.flag("false_positive")?,
     })
 }
 
@@ -301,13 +347,17 @@ pub(crate) fn encode_node_event(e: &NodeEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(node_event_kind_label(e.kind).as_bytes());
 }
 
-pub(crate) fn decode_node_event(row: &str, version: u32) -> Result<NodeEvent, String> {
-    let [at, node, kind] = split_fields(row, "node_event")?;
+pub(crate) fn decode_node_event(row: &[u8], version: u32) -> Result<NodeEvent, String> {
+    let mut f = Row::new(row, 3);
     Ok(NodeEvent {
-        at: SimTime::from_secs(parse_num(at, "time")?),
-        node: NodeId::new(parse_num(node, "node")?),
-        kind: parse_node_event_kind(kind, version)
-            .ok_or_else(|| format!("bad node event kind: {kind:?}"))?,
+        at: SimTime::from_secs(f.num("time")?),
+        node: NodeId::new(f.num("node")?),
+        // The v1 vocabulary has no lifecycle kinds.
+        kind: f.label(
+            "node event kind",
+            &NodeEventKind::ALL[..if version < 2 { 3 } else { 9 }],
+            node_event_kind_label,
+        )?,
     })
 }
 
@@ -319,12 +369,12 @@ pub(crate) fn encode_exclusion(e: &ExclusionEvent, out: &mut Vec<u8>) {
     push_u64(out, e.job.raw());
 }
 
-pub(crate) fn decode_exclusion(row: &str) -> Result<ExclusionEvent, String> {
-    let [at, node, job] = split_fields(row, "exclusion")?;
+pub(crate) fn decode_exclusion(row: &[u8]) -> Result<ExclusionEvent, String> {
+    let mut f = Row::new(row, 3);
     Ok(ExclusionEvent {
-        at: SimTime::from_secs(parse_num(at, "time")?),
-        node: NodeId::new(parse_num(node, "node")?),
-        job: JobId::new(parse_num(job, "job")?),
+        at: SimTime::from_secs(f.num("time")?),
+        node: NodeId::new(f.num("node")?),
+        job: JobId::new(f.num("job")?),
     })
 }
 
@@ -340,14 +390,14 @@ pub(crate) fn encode_failure(e: &FailureEvent, out: &mut Vec<u8>) {
     out.push(b'0' + u8::from(e.permanent));
 }
 
-pub(crate) fn decode_failure(row: &str) -> Result<FailureEvent, String> {
-    let [at, node, mode, symptom, permanent] = split_fields(row, "failure")?;
+pub(crate) fn decode_failure(row: &[u8]) -> Result<FailureEvent, String> {
+    let mut f = Row::new(row, 5);
     Ok(FailureEvent {
-        at: SimTime::from_secs(parse_num(at, "time")?),
-        node: NodeId::new(parse_num(node, "node")?),
-        mode: ModeId(parse_num(mode, "mode")?),
-        symptom: parse_symptom(symptom).ok_or_else(|| format!("bad symptom: {symptom:?}"))?,
-        permanent: parse_bool(permanent)?,
+        at: SimTime::from_secs(f.num("time")?),
+        node: NodeId::new(f.num("node")?),
+        mode: ModeId(f.num("mode")?),
+        symptom: f.label("symptom", &FailureSymptom::ALL, FailureSymptom::label)?,
+        permanent: f.flag("permanent")?,
     })
 }
 
@@ -363,37 +413,15 @@ pub(crate) fn encode_ckpt_fallback(e: &CheckpointFallbackEvent, out: &mut Vec<u8
     push_u64(out, e.lost.as_secs());
 }
 
-pub(crate) fn decode_ckpt_fallback(row: &str) -> Result<CheckpointFallbackEvent, String> {
-    let [at, job, gpus, intervals, lost] = split_fields(row, "ckpt_fallback")?;
+pub(crate) fn decode_ckpt_fallback(row: &[u8]) -> Result<CheckpointFallbackEvent, String> {
+    let mut f = Row::new(row, 5);
     Ok(CheckpointFallbackEvent {
-        at: SimTime::from_secs(parse_num(at, "time")?),
-        job: JobId::new(parse_num(job, "job")?),
-        gpus: parse_num(gpus, "gpus")?,
-        intervals: parse_num(intervals, "intervals")?,
-        lost: SimDuration::from_secs(parse_num(lost, "lost")?),
+        at: SimTime::from_secs(f.num("time")?),
+        job: JobId::new(f.num("job")?),
+        gpus: f.num("gpus")?,
+        intervals: f.num("intervals")?,
+        lost: SimDuration::from_secs(f.num("lost")?),
     })
-}
-
-fn parse_control_action_kind(s: &str) -> Option<ControlActionKind> {
-    match s {
-        "remediate_node" => Some(ControlActionKind::RemediateNode),
-        "quarantine_node" => Some(ControlActionKind::QuarantineNode),
-        "release_node" => Some(ControlActionKind::ReleaseNode),
-        "adaptive_routing" => Some(ControlActionKind::AdaptiveRouting),
-        "restore_routing" => Some(ControlActionKind::RestoreRouting),
-        "retune_checkpoint" => Some(ControlActionKind::RetuneCheckpoint),
-        _ => None,
-    }
-}
-
-fn parse_control_trigger(s: &str) -> Option<ControlTrigger> {
-    match s {
-        "lemon_suspect" => Some(ControlTrigger::LemonSuspect),
-        "mttf_regression" => Some(ControlTrigger::MttfRegression),
-        "quarantine_surge" => Some(ControlTrigger::QuarantineSurge),
-        "controller" => Some(ControlTrigger::Controller),
-        _ => None,
-    }
 }
 
 pub(crate) fn encode_control_action(e: &ControlActionEvent, out: &mut Vec<u8>) {
@@ -412,27 +440,23 @@ pub(crate) fn encode_control_action(e: &ControlActionEvent, out: &mut Vec<u8>) {
     push_u64(out, e.value);
 }
 
-pub(crate) fn decode_control_action(row: &str) -> Result<ControlActionEvent, String> {
-    let [at, kind, trigger, node, job, accepted, value] = split_fields(row, "control_action")?;
-    let node = if node.is_empty() {
-        None
-    } else {
-        Some(NodeId::new(parse_num(node, "node")?))
-    };
-    let job = if job.is_empty() {
-        None
-    } else {
-        Some(JobId::new(parse_num(job, "job")?))
-    };
+pub(crate) fn decode_control_action(row: &[u8]) -> Result<ControlActionEvent, String> {
+    let mut f = Row::new(row, 7);
     Ok(ControlActionEvent {
-        at: SimTime::from_secs(parse_num(at, "time")?),
-        kind: parse_control_action_kind(kind)
-            .ok_or_else(|| format!("bad control action kind: {kind:?}"))?,
-        trigger: parse_control_trigger(trigger)
-            .ok_or_else(|| format!("bad control trigger: {trigger:?}"))?,
-        node,
-        job,
-        accepted: parse_bool(accepted)?,
-        value: parse_num(value, "value")?,
+        at: SimTime::from_secs(f.num("time")?),
+        kind: f.label(
+            "control action kind",
+            &ControlActionKind::ALL,
+            ControlActionKind::label,
+        )?,
+        trigger: f.label(
+            "control trigger",
+            &ControlTrigger::ALL,
+            ControlTrigger::label,
+        )?,
+        node: f.opt_num("node")?.map(NodeId::new),
+        job: f.opt_num("job")?.map(JobId::new),
+        accepted: f.flag("accepted")?,
+        value: f.num("value")?,
     })
 }

@@ -350,27 +350,28 @@ pub fn write_snapshot_legacy<W: Write>(w: &mut W, view: &TelemetryView) -> io::R
     Ok(())
 }
 
-/// Line reader over a snapshot: one reused line buffer plus the 1-based
+/// Line reader over a snapshot: one reused byte buffer plus the 1-based
 /// number of the current line for error messages.
 struct Lines<R> {
     inner: R,
-    line: String,
+    line: Vec<u8>,
     line_no: usize,
 }
 
 impl<R: BufRead> Lines<R> {
-    /// Advances to the next line ([`Self::line`]).
+    /// Advances to the next line ([`Self::line`]), which must end in `\n`.
     fn advance(&mut self) -> Result<(), SnapshotError> {
         self.line_no += 1;
-        if rows::read_line(&mut self.inner, &mut self.line)? {
-            Ok(())
-        } else {
-            Err(self.err("unexpected end of snapshot"))
+        self.line.clear();
+        self.inner.read_until(b'\n', &mut self.line)?;
+        if self.line.pop() != Some(b'\n') {
+            return Err(self.err("unexpected end of snapshot"));
         }
+        Ok(())
     }
 
-    /// The current line, without its line ending.
-    fn line(&self) -> &str {
+    /// The current line, without its `\n`.
+    fn line(&self) -> &[u8] {
         &self.line
     }
 
@@ -381,53 +382,47 @@ impl<R: BufRead> Lines<R> {
         }
     }
 
+    /// The error for a current line that is not `expected`.
+    fn unexpected(&self, expected: &str) -> SnapshotError {
+        let got = String::from_utf8_lossy(&self.line);
+        self.err(format!("expected {expected}, got {got:?}"))
+    }
+
     /// Expects the current line to be `<keyword> <value>`; returns the value.
-    fn value(&self, keyword: &str) -> Result<&str, SnapshotError> {
-        match self.line.split_once(' ') {
-            Some((k, v)) if k == keyword => Ok(v),
-            _ => Err(self.err(format!("expected `{keyword} <value>`, got {:?}", self.line))),
+    fn value(&self, keyword: &str) -> Result<&[u8], SnapshotError> {
+        match self.line.strip_prefix(keyword.as_bytes()) {
+            Some([b' ', v @ ..]) => Ok(v),
+            _ => Err(self.unexpected(&format!("`{keyword} <value>`"))),
         }
     }
 
-    fn count(&self, value: &str) -> Result<usize, SnapshotError> {
-        value
-            .parse::<usize>()
-            .map_err(|_| self.err(format!("bad count: {value:?}")))
+    /// Parses `s` as a canonical decimal at its field's own width
+    /// ([`rows::parse_uint`]): a value that does not fit is refused, never
+    /// truncated.
+    fn number<T: TryFrom<u64>>(&self, s: &[u8], what: &str) -> Result<T, SnapshotError> {
+        rows::parse_uint(s)
+            .ok_or_else(|| self.err(format!("bad {what}: {:?}", String::from_utf8_lossy(s))))
     }
 
-    fn hash(&self, s: &str) -> Result<u64, SnapshotError> {
+    fn hash(&self, s: &[u8]) -> Result<u64, SnapshotError> {
         // Strictly lowercase, exactly 16 digits: the writer's canonical form.
-        // `from_str_radix` alone would accept uppercase too, letting a
-        // byte-different snapshot parse to the same digest.
-        if s.len() != 16
-            || !s
-                .bytes()
-                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+        let digit = |b: u8| (b as char).to_digit(16).filter(|_| !b.is_ascii_uppercase());
+        match s
+            .iter()
+            .try_fold(0, |h, &b| Some(h << 4 | u64::from(digit(b)?)))
         {
-            return Err(self.err(format!(
-                "bad chain hash (need 16 lowercase hex digits): {s:?}"
-            )));
+            Some(h) if s.len() == 16 => Ok(h),
+            _ => Err(self.err(format!(
+                "bad chain hash (need 16 lowercase hex digits): {:?}",
+                String::from_utf8_lossy(s)
+            ))),
         }
-        u64::from_str_radix(s, 16).map_err(|_| self.err(format!("bad chain hash: {s:?}")))
     }
 
-    /// Reads a `<keyword> <count>` line.
-    fn next_count(&mut self, keyword: &str) -> Result<usize, SnapshotError> {
+    /// Reads a `<keyword> <number>` line.
+    fn next_num<T: TryFrom<u64>>(&mut self, keyword: &str, what: &str) -> Result<T, SnapshotError> {
         self.advance()?;
-        self.count(self.value(keyword)?)
-    }
-
-    /// Reads a `<keyword> <number>` header line, parsed at the field's
-    /// own width: a value that does not fit is refused, never truncated.
-    fn next_num<T: std::str::FromStr>(
-        &mut self,
-        keyword: &str,
-        what: &str,
-    ) -> Result<T, SnapshotError> {
-        self.advance()?;
-        let s = self.value(keyword)?;
-        s.parse::<T>()
-            .map_err(|_| self.err(format!("bad {what}: {s:?}")))
+        self.number(self.value(keyword)?, what)
     }
 }
 
@@ -438,9 +433,9 @@ fn read_framed_section<R: BufRead, T: ChainRecord>(
     lines: &mut Lines<R>,
     name: &str,
     frame_rows: usize,
-    decode: impl Fn(&str) -> Result<T, String>,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
 ) -> Result<(Vec<T>, u64), SnapshotError> {
-    let count = lines.next_count(name)?;
+    let count: usize = lines.next_num(name, "count")?;
     let mut records = Vec::new();
     let mut h = ChainHasher::new(GENESIS);
     let mut frame = 0u64;
@@ -448,14 +443,11 @@ fn read_framed_section<R: BufRead, T: ChainRecord>(
         let consumed = records.len();
         lines.advance()?;
         let spec = lines.value("frame")?;
-        let (rows_str, hash_str) = spec.split_once(' ').ok_or_else(|| {
-            lines.err(format!(
-                "expected `frame <rows> <hash>`, got {:?}",
-                lines.line()
-            ))
-        })?;
-        let rows = lines.count(rows_str)?;
-        let expected = lines.hash(hash_str)?;
+        let Some(space) = spec.iter().position(|&b| b == b' ') else {
+            return Err(lines.unexpected("`frame <rows> <hash>`"));
+        };
+        let rows: usize = lines.number(&spec[..space], "frame row count")?;
+        let expected = lines.hash(&spec[space + 1..])?;
         if rows == 0 || rows > frame_rows {
             return Err(lines.err(format!("frame of {rows} rows outside 1..={frame_rows}")));
         }
@@ -495,9 +487,9 @@ fn read_framed_section<R: BufRead, T: ChainRecord>(
 fn read_legacy_section<R: BufRead, T>(
     lines: &mut Lines<R>,
     name: &str,
-    decode: impl Fn(&str) -> Result<T, String>,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
 ) -> Result<Vec<T>, SnapshotError> {
-    let count = lines.next_count(name)?;
+    let count: usize = lines.next_num(name, "count")?;
     let mut records = Vec::new();
     for _ in 0..count {
         lines.advance()?;
@@ -507,20 +499,14 @@ fn read_legacy_section<R: BufRead, T>(
 }
 
 /// Reads one section of either layout: framed when `frame_rows` is set,
-/// in which case the verified chain head is pushed onto `heads`.
-///
-/// Each stream's `Vec` grows as its rows decode; the section count, which
-/// comes from the file, never sizes an allocation, so a forged count fails
-/// as a parse or chain error where the rows run out. (Reserving the count
-/// up front also measured worse: once freed, an exactly sized multi-MiB
-/// stream buffer raises glibc's dynamic mmap threshold, and the heap the
-/// process then retains lifted `paper_rsc`'s peak RSS by about 15%.)
+/// in which case the verified chain head is pushed onto `heads`. The
+/// section count never sizes an allocation ([`read_snapshot`] says why).
 fn read_section<R: BufRead, T: ChainRecord>(
     lines: &mut Lines<R>,
     name: &str,
     frame_rows: Option<usize>,
     heads: &mut Vec<u64>,
-    decode: impl Fn(&str) -> Result<T, String>,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
 ) -> Result<Vec<T>, SnapshotError> {
     match frame_rows {
         Some(frame_rows) => {
@@ -545,43 +531,48 @@ fn read_section<R: BufRead, T: ChainRecord>(
 /// glibc's dynamic mmap threshold, so the retained heap grew round after
 /// round (`paper_rsc` peak RSS 128.7 → 148.6 MiB when tried).
 ///
+/// Only the writer's own spelling is accepted — rows, header, count and
+/// frame lines each decode canonically, every line ends in `\n` alone,
+/// the version line is the one the writer picks for the content, and
+/// nothing follows `end` — so any accepted input re-encodes byte for byte.
+///
 /// # Errors
 ///
 /// Returns [`SnapshotError::Parse`] with the 1-based line number on any
-/// malformed or truncated input, including a number too large for its
-/// field (it is refused, never truncated) — never panics — and
-/// [`SnapshotError::Io`] if the reader fails. Version-3 inputs are
-/// chain-verified frame by frame; any checkpoint mismatch is a
+/// malformed, truncated or non-canonical input (a sign, a leading zero, a
+/// `\r`, a non-UTF-8 byte, a number too large for its field) — never
+/// panics — and [`SnapshotError::Io`] only if the reader fails. Framed
+/// inputs are chain-verified frame by frame; any checkpoint mismatch is a
 /// [`SnapshotError::Chain`]. Unknown versions and v2 vocabulary inside a
 /// v1 snapshot are rejected.
 pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
     let mut lines = Lines {
         inner: r,
-        line: String::new(),
+        line: Vec::new(),
         line_no: 0,
     };
 
     lines.advance()?;
-    let version = match lines.line() {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        m if m == MAGIC_V3 => 3,
-        m if m == MAGIC_V4 => 4,
-        magic => {
-            return Err(lines.err(format!(
-                "bad header: {magic:?} (expected {MAGIC_V1:?}, {MAGIC_V2:?}, {MAGIC_V3:?}, \
-                 or {MAGIC_V4:?})"
-            )))
-        }
+    let Some(version) = (1..)
+        .zip([MAGIC_V1, MAGIC_V2, MAGIC_V3, MAGIC_V4])
+        .find_map(|(v, magic)| (lines.line() == magic.as_bytes()).then_some(v))
+    else {
+        return Err(lines.err(format!(
+            "bad header: {:?} (expected {MAGIC_V1:?}, {MAGIC_V2:?}, {MAGIC_V3:?}, or {MAGIC_V4:?})",
+            String::from_utf8_lossy(lines.line())
+        )));
     };
     lines.advance()?;
-    let name = lines.value("cluster")?.to_string();
+    let name = match std::str::from_utf8(lines.value("cluster")?) {
+        Ok(name) if !name.contains('\r') => name.to_string(),
+        _ => return Err(lines.err("cluster name is not UTF-8 or holds a carriage return")),
+    };
     let num_nodes = lines.next_num("nodes", "node count")?;
     let horizon = SimTime::from_secs(lines.next_num("horizon", "horizon")?);
     let gpu_swaps = lines.next_num("gpu_swaps", "gpu_swaps")?;
 
     let frame_rows = if version >= 3 {
-        let frame_rows = lines.next_count("frame_rows")?;
+        let frame_rows: usize = lines.next_num("frame_rows", "frame_rows")?;
         if frame_rows == 0 {
             return Err(lines.err("frame_rows must be positive"));
         }
@@ -655,10 +646,14 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
     }
 
     lines.advance()?;
-    if lines.line() != "end" {
-        return Err(lines.err(format!("expected `end`, got {:?}", lines.line())));
+    if lines.line() != b"end" {
+        return Err(lines.unexpected("`end`"));
     }
-    Ok(TelemetryView::from_parts(
+    if !lines.inner.fill_buf()?.is_empty() {
+        lines.line_no += 1;
+        return Err(lines.err("data after `end`"));
+    }
+    let view = TelemetryView::from_parts(
         name,
         num_nodes,
         horizon,
@@ -670,7 +665,18 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
         ckpt_fallbacks,
         control_actions,
         gpu_swaps,
-    ))
+    );
+    // The writer picks the version from the content; any other header on
+    // the same content is a second spelling of it.
+    let canonical = match frame_rows {
+        Some(_) => 3 + u32::from(has_v4_content(&view)),
+        None => 1 + u32::from(has_v2_content(&view)),
+    };
+    if version != canonical {
+        lines.line_no = 1;
+        return Err(lines.err(format!("a v{version} header on v{canonical} content")));
+    }
+    Ok(view)
 }
 
 /// Writes a snapshot to `path`, creating parent directories. The write is

@@ -46,6 +46,19 @@ pub enum NodeEventKind {
 }
 
 impl NodeEventKind {
+    /// Every kind, the version-1 vocabulary first.
+    pub const ALL: [NodeEventKind; 9] = [
+        NodeEventKind::Drain,
+        NodeEventKind::EnterRemediation,
+        NodeEventKind::ExitRemediation,
+        NodeEventKind::RepairAttemptFailed,
+        NodeEventKind::RepairEscalated,
+        NodeEventKind::EnterProbation,
+        NodeEventKind::ProbationPassed,
+        NodeEventKind::ProbationFailed,
+        NodeEventKind::Quarantined,
+    ];
+
     /// Whether this kind exists in the version-1 snapshot vocabulary.
     pub fn is_v1(self) -> bool {
         matches!(
@@ -93,6 +106,16 @@ pub enum ControlActionKind {
 }
 
 impl ControlActionKind {
+    /// Every kind.
+    pub const ALL: [ControlActionKind; 6] = [
+        ControlActionKind::RemediateNode,
+        ControlActionKind::QuarantineNode,
+        ControlActionKind::ReleaseNode,
+        ControlActionKind::AdaptiveRouting,
+        ControlActionKind::RestoreRouting,
+        ControlActionKind::RetuneCheckpoint,
+    ];
+
     /// Stable snake_case label (the v4 snapshot row vocabulary).
     pub fn label(self) -> &'static str {
         match self {
@@ -122,6 +145,14 @@ pub enum ControlTrigger {
 }
 
 impl ControlTrigger {
+    /// Every trigger.
+    pub const ALL: [ControlTrigger; 4] = [
+        ControlTrigger::LemonSuspect,
+        ControlTrigger::MttfRegression,
+        ControlTrigger::QuarantineSurge,
+        ControlTrigger::Controller,
+    ];
+
     /// Stable snake_case label (the v4 snapshot row vocabulary).
     pub fn label(self) -> &'static str {
         match self {

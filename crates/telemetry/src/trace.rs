@@ -17,7 +17,7 @@ use rsc_sched::job::{JobStatus, QosClass};
 use rsc_sim_core::time::SimTime;
 
 use crate::csv::format_row;
-use crate::rows::{parse_num, push_opt_u64, push_u64, read_line, split_row, write_rows};
+use crate::rows::{push_opt_u64, push_u64, write_rows, Row};
 
 /// Error from parsing a job-trace CSV.
 #[derive(Debug)]
@@ -51,14 +51,6 @@ pub const TRACE_HEADER: [&str; 12] = [
     "preempted_by",
     "instigator",
 ];
-
-fn parse_status(s: &str) -> Option<JobStatus> {
-    JobStatus::ALL.iter().copied().find(|st| st.label() == s)
-}
-
-fn parse_qos(s: &str) -> Option<QosClass> {
-    QosClass::ALL.iter().copied().find(|q| q.label() == s)
-}
 
 /// Appends one record as a trace CSV row (no trailing newline) to `out`.
 ///
@@ -106,79 +98,56 @@ pub fn export_jobs<W: Write>(w: &mut W, records: &[JobRecord]) -> io::Result<()>
     write_rows(w, records, format_job_row)
 }
 
-/// Parses one trace CSV row into a record; `line_no` is the 1-based line
-/// number reported in errors.
-///
-/// # Errors
-///
-/// Returns [`ParseTraceError`] when the row is malformed.
-pub fn parse_job_row(line: &str, line_no: usize) -> Result<JobRecord, ParseTraceError> {
-    let err = |message: String| ParseTraceError {
-        line: line_no,
-        message,
-    };
-    let Some(fields) = split_row::<12>(line) else {
-        return Err(err(format!(
-            "expected {} fields, got {}",
-            TRACE_HEADER.len(),
-            line.split(',').count()
-        )));
-    };
-    let [job, attempt, run, gpus, qos, nodes, enq, start, end, status, preempted_by, instigator] =
-        fields;
-    let opt_u64 = |s: &str, what: &str| -> Result<Option<u64>, ParseTraceError> {
-        if s.is_empty() {
-            Ok(None)
-        } else {
-            parse_num(s, what).map(Some).map_err(err)
-        }
-    };
-    let nodes = if nodes.is_empty() {
-        Vec::new()
-    } else {
-        let mut out = Vec::with_capacity(nodes.bytes().filter(|&b| b == b';').count() + 1);
-        for s in nodes.split(';') {
-            out.push(NodeId::new(parse_num(s, "node id").map_err(err)?));
-        }
-        out
-    };
+/// Decodes one job row exactly as [`format_job_row`] writes it; shared by
+/// [`import_jobs`] and the snapshot codec. Callers attach the location.
+pub(crate) fn decode_job_row(row: &[u8]) -> Result<JobRecord, String> {
+    let mut f = Row::new(row, TRACE_HEADER.len());
     Ok(JobRecord {
-        job: JobId::new(parse_num(job, "job id").map_err(err)?),
-        attempt: parse_num(attempt, "attempt").map_err(err)?,
-        run: opt_u64(run, "run id")?.map(JobRunId::new),
-        gpus: parse_num(gpus, "gpus").map_err(err)?,
-        qos: parse_qos(qos).ok_or_else(|| err(format!("bad qos: {qos:?}")))?,
-        nodes,
-        enqueued_at: SimTime::from_secs(parse_num(enq, "enqueued_at").map_err(err)?),
-        started_at: opt_u64(start, "started_at")?.map(SimTime::from_secs),
-        ended_at: SimTime::from_secs(parse_num(end, "ended_at").map_err(err)?),
-        status: parse_status(status).ok_or_else(|| err(format!("bad status: {status:?}")))?,
-        preempted_by: opt_u64(preempted_by, "preempted_by")?.map(JobId::new),
-        instigator: opt_u64(instigator, "instigator")?.map(JobId::new),
+        job: JobId::new(f.num("job id")?),
+        attempt: f.num("attempt")?,
+        run: f.opt_num("run id")?.map(JobRunId::new),
+        gpus: f.num("gpus")?,
+        qos: f.label("qos", &QosClass::ALL, QosClass::label)?,
+        nodes: f.list("node id", NodeId::new)?,
+        enqueued_at: SimTime::from_secs(f.num("enqueued_at")?),
+        started_at: f.opt_num("started_at")?.map(SimTime::from_secs),
+        ended_at: SimTime::from_secs(f.num("ended_at")?),
+        status: f.label("status", &JobStatus::ALL, JobStatus::label)?,
+        preempted_by: f.opt_num("preempted_by")?.map(JobId::new),
+        instigator: f.opt_num("instigator")?.map(JobId::new),
     })
 }
 
-/// Reads job records from a trace CSV (header row required).
+/// Reads job records from a trace CSV in exactly the spelling
+/// [`export_jobs`] writes: the header row first, then one row per record,
+/// every line ending in `\n`.
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError`] on malformed rows; I/O errors surface as a
-/// parse error carrying the underlying message.
+/// Returns [`ParseTraceError`] on a missing or different header, a
+/// malformed row or a line without its `\n`; I/O errors surface as a parse
+/// error carrying the underlying message.
 pub fn import_jobs<R: BufRead>(mut r: R) -> Result<Vec<JobRecord>, ParseTraceError> {
+    let header = format!("{}\n", format_row(TRACE_HEADER.iter().copied()));
     let mut out = Vec::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     for line_no in 1.. {
-        let more = read_line(&mut r, &mut line).map_err(|e| ParseTraceError {
+        let err = |message: String| ParseTraceError {
             line: line_no,
-            message: e.to_string(),
-        })?;
-        if !more {
-            break;
+            message,
+        };
+        line.clear();
+        r.read_until(b'\n', &mut line)
+            .map_err(|e| err(e.to_string()))?;
+        if line_no == 1 && line != header.as_bytes() {
+            return Err(err(format!("expected the header row {header:?}")));
         }
-        if line_no == 1 || line.trim().is_empty() {
-            continue; // header, blank line
+        match line.pop() {
+            _ if line_no == 1 => {}
+            None => break,
+            Some(b'\n') => out.push(decode_job_row(&line).map_err(err)?),
+            Some(_) => return Err(err("line does not end in a newline".to_string())),
         }
-        out.push(parse_job_row(&line, line_no)?);
     }
     Ok(out)
 }
@@ -234,15 +203,16 @@ mod tests {
 
     #[test]
     fn wrong_field_count_rejected() {
-        let text = "h\n1,2,3\n";
+        let text = "job,attempt,run,gpus,qos,nodes,enqueued_at,started_at,ended_at,status,preempted_by,instigator\n1,2,3\n";
         let e = import_jobs(BufReader::new(text.as_bytes())).unwrap_err();
         assert!(e.message.contains("expected 12 fields"));
     }
 
     #[test]
     fn all_statuses_roundtrip() {
-        for status in JobStatus::ALL {
-            assert_eq!(parse_status(status.label()), Some(status));
-        }
+        let records: Vec<JobRecord> = JobStatus::ALL.iter().map(|&s| record(1, s)).collect();
+        let mut buf = Vec::new();
+        export_jobs(&mut buf, &records).unwrap();
+        assert_eq!(import_jobs(buf.as_slice()).unwrap(), records);
     }
 }

@@ -10,7 +10,9 @@
 //! never by aborting on an impossible allocation. So must numbers too
 //! large for their field, in a row, in the header or in a job trace: a
 //! decoder that truncated them would hand the chain the original value,
-//! and the forged bytes would read as the original view.
+//! and the forged bytes would read as the original view. Every read here
+//! also checks the re-encode property (`common`): an input the reader
+//! accepts is the writer's own spelling of it.
 //!
 //! [`GENESIS`]: rsc_telemetry::GENESIS
 
@@ -26,14 +28,18 @@ use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
 use rsc_sim_core::time::{SimDuration, SimTime};
 use rsc_telemetry::snapshot::{
-    read_snapshot, write_snapshot_legacy, write_snapshot_with_frame_rows, SnapshotError,
+    write_snapshot_legacy, write_snapshot_with_frame_rows, SnapshotError,
 };
 use rsc_telemetry::store::{
     CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
     NodeEvent, NodeEventKind, TelemetryStore,
 };
-use rsc_telemetry::trace::{export_jobs, import_jobs};
+use rsc_telemetry::trace::export_jobs;
 use rsc_telemetry::view::TelemetryView;
+use rsc_telemetry::{ChainHasher, GENESIS};
+
+mod common;
+use common::{import_jobs_canonical as import_jobs, read_snapshot_canonical as read_snapshot};
 
 /// A view whose records are all distinct (strictly increasing timestamps
 /// offset by `base`), so no two frames can ever hold identical bytes and a
@@ -133,8 +139,8 @@ proptest! {
         }
     }
 
-    /// Any truncation that loses part of the snapshot (everything short of
-    /// dropping only the final newline) is rejected.
+    /// Any truncation is rejected, down to dropping only the final
+    /// newline: every line, `end` included, must end in `\n`.
     #[test]
     fn truncation_is_rejected(
         health in 1usize..40,
@@ -144,9 +150,7 @@ proptest! {
     ) {
         let view = build_view(1_000, health, failures);
         let mut bytes = snapshot_bytes(&view, frame_rows);
-        // `len - 1` keeps `end` intact with only the newline gone, which
-        // still reads; everything shorter must fail.
-        bytes.truncate(raw_pos % (bytes.len() - 1));
+        bytes.truncate(raw_pos % bytes.len());
         prop_assert!(read_snapshot(bytes.as_slice()).is_err());
     }
 
@@ -449,6 +453,122 @@ fn forged_out_of_range_trace_fields_fail_typed() {
                 assert!(e.message.contains(&format!("bad {what}")), "{e}");
             }
             Ok(back) => panic!("trace field {field} past u32::MAX read as {back:?}"),
+        }
+    }
+}
+
+/// `bytes` with the first line starting `prefix` passed through `edit`;
+/// returns the new bytes and that line's 1-based number.
+fn edit_line(bytes: &[u8], prefix: &str, edit: impl Fn(&str) -> String) -> (Vec<u8>, usize) {
+    let mut lines = to_lines(bytes);
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no line starts with {prefix:?}"));
+    lines[at] = edit(&lines[at]);
+    (from_lines(&lines), at + 1)
+}
+
+/// `line` with `insert` put in front of its first digit.
+fn before_digits(line: &str, insert: &str) -> String {
+    let at = line.find(|c: char| c.is_ascii_digit()).expect("a number");
+    format!("{}{insert}{}", &line[..at], &line[at..])
+}
+
+/// Header and frame lines go through the row decoder's number reader: a
+/// leading zero, a sign or a `\r` on any of them is a typed parse error
+/// at that line, in both layouts, not a second spelling of the same
+/// header (the combined chain hashes the values, not their bytes).
+#[test]
+fn non_canonical_header_and_frame_lines_fail_typed() {
+    let view = every_stream_view();
+    let framed = snapshot_bytes(&view, 4);
+    let mut legacy = Vec::new();
+    write_snapshot_legacy(&mut legacy, &view).expect("in-memory write");
+    type Edit = fn(&str) -> String;
+    let edits: [(&str, &str, Edit); 7] = [
+        ("nodes 64", "nodes ", |l| before_digits(l, "0")),
+        ("jobs +1", "jobs ", |l| before_digits(l, "+")),
+        ("gpu_swaps 00", "gpu_swaps ", |l| before_digits(l, "0")),
+        ("horizon CRLF", "horizon ", |l| format!("{l}\r")),
+        ("cluster CRLF", "cluster ", |l| format!("{l}\r")),
+        ("frame_rows 04", "frame_rows ", |l| before_digits(l, "0")),
+        ("frame 01 <hash>", "frame ", |l| before_digits(l, "0")),
+    ];
+    for (layout, bytes) in [("framed", &framed), ("legacy", &legacy)] {
+        for (what, prefix, edit) in edits {
+            if layout == "legacy" && prefix.starts_with("frame") {
+                continue; // the legacy layout has no frames
+            }
+            let (forged, want_line) = edit_line(bytes, prefix, edit);
+            match read_snapshot(forged.as_slice()) {
+                Err(SnapshotError::Parse { line, message }) => {
+                    assert_eq!(line, want_line, "{layout} {what}: {message}")
+                }
+                other => panic!(
+                    "{layout} {what} not rejected as parse: {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+    }
+}
+
+/// The whole file has one spelling too: `end` and its newline close it,
+/// and the version line is the one the writer picks for the content —
+/// v1 or v2 by whether v2 content is present, v3 or v4 by whether control
+/// actions are. A second spelling is a parse error at the line that
+/// differs, even when every checkpoint matches.
+#[test]
+fn second_spellings_of_the_file_fail_typed() {
+    let view = build_view(1_000, 3, 2);
+    let framed = snapshot_bytes(&view, 4);
+    let mut legacy = Vec::new();
+    write_snapshot_legacy(&mut legacy, &view).expect("in-memory write");
+    let end_line = to_lines(&framed).len() - 1;
+
+    let mut trailing = framed.clone();
+    trailing.extend_from_slice(b"\n");
+    // A v1 body under a v2 header needs only an empty ckpt_fallbacks
+    // section, which is unhashed.
+    let v2 = String::from_utf8(legacy.clone())
+        .unwrap()
+        .replace("snapshot v1\n", "snapshot v2\n")
+        .replace("\nend\n", "\nckpt_fallbacks 0\nend\n");
+    // A v3 body under a v4 header: an empty control_actions section and
+    // the combined chain recomputed over its (empty-stream) head.
+    let heads = view.chain_heads();
+    let mut h = ChainHasher::new(GENESIS);
+    h.write_bytes(view.cluster_name().as_bytes());
+    for v in [
+        u64::from(view.num_nodes()),
+        view.horizon().as_secs(),
+        view.gpu_swaps(),
+        4,
+    ] {
+        h.write_u64(v);
+    }
+    heads.iter().for_each(|&head| h.write_u64(head));
+    let text = String::from_utf8(framed.clone()).unwrap();
+    let chain_at = text.find("\nchain ").unwrap() + 1;
+    let v4 = format!(
+        "{}control_actions 0\nchain {:016x}\nend\n",
+        text[..chain_at].replace("snapshot v3\n", "snapshot v4\n"),
+        h.digest()
+    );
+
+    let cases: [(&str, &[u8], usize); 4] = [
+        ("no final newline", &framed[..framed.len() - 1], end_line),
+        ("data after `end`", &trailing, end_line + 1),
+        ("v1 content under a v2 header", v2.as_bytes(), 1),
+        ("v3 content under a v4 header", v4.as_bytes(), 1),
+    ];
+    for (what, bytes, want_line) in cases {
+        match read_snapshot(bytes) {
+            Err(SnapshotError::Parse { line, message }) => {
+                assert_eq!(line, want_line, "{what}: {message}")
+            }
+            other => panic!("{what} not rejected as parse: {:?}", other.map(|_| ())),
         }
     }
 }

@@ -1,5 +1,7 @@
-//! Property-based tests for telemetry: trace and snapshot roundtrips and
-//! rolling rates.
+//! Property-based tests for telemetry: trace and snapshot roundtrips,
+//! rolling rates, and the re-encode property — every input the snapshot
+//! reader or the trace importer accepts re-encodes to the same bytes
+//! (`common`), here over round trips, garbage and single-byte edits.
 
 use proptest::prelude::*;
 
@@ -15,9 +17,15 @@ use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
 use rsc_sim_core::time::{SimDuration, SimTime};
 use rsc_telemetry::rolling::{bin_counts, rolling_rate};
-use rsc_telemetry::snapshot::{read_snapshot, write_snapshot};
-use rsc_telemetry::store::{ExclusionEvent, NodeEvent, NodeEventKind, TelemetryStore};
-use rsc_telemetry::trace::{export_jobs, import_jobs};
+use rsc_telemetry::snapshot::{write_snapshot, write_snapshot_with_frame_rows};
+use rsc_telemetry::store::{
+    CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
+    NodeEvent, NodeEventKind, TelemetryStore,
+};
+use rsc_telemetry::trace::export_jobs;
+
+mod common;
+use common::{import_jobs_canonical as import_jobs, read_snapshot_canonical as read_snapshot};
 
 fn arb_status(idx: u8) -> JobStatus {
     JobStatus::ALL[idx as usize % JobStatus::ALL.len()]
@@ -74,7 +82,7 @@ proptest! {
     fn trace_roundtrip(records in prop::collection::vec(arb_record(), 0..50)) {
         let mut buf = Vec::new();
         export_jobs(&mut buf, &records).expect("in-memory write");
-        let back = import_jobs(std::io::BufReader::new(buf.as_slice())).expect("parse");
+        let back = import_jobs(buf.as_slice()).expect("parse");
         prop_assert_eq!(back, records);
     }
 
@@ -264,5 +272,132 @@ proptest! {
         bytes.truncate(prefix_len.min(bytes.len()));
         bytes.extend_from_slice(&garbage);
         let _ = read_snapshot(bytes.as_slice());
+    }
+}
+
+/// A small view with rows in every stream — named and `Other` XIDs, an
+/// empty and a two-node job, both node/job spellings of a control action
+/// — and, when `v4`, control actions (which make it a version-4 snapshot).
+fn edit_sample(v4: bool) -> Vec<u8> {
+    let mut store = TelemetryStore::new("RSC-E", 64);
+    store.set_horizon(SimTime::from_days(2));
+    store.set_gpu_swaps(3);
+    for (i, nodes) in [
+        vec![],
+        vec![NodeId::new(0), NodeId::new(17)],
+        vec![NodeId::new(9)],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let i = i as u64;
+        store.push_job(JobRecord {
+            job: JobId::new(10 + i),
+            attempt: i as u32,
+            run: (i > 0).then(|| JobRunId::new(i)),
+            gpus: 8 * nodes.len() as u32,
+            qos: arb_qos(i as u8),
+            nodes,
+            enqueued_at: SimTime::from_secs(100 * i),
+            started_at: (i > 0).then(|| SimTime::from_secs(100 * i + 30)),
+            ended_at: SimTime::from_secs(100 * i + 5_000),
+            status: arb_status(i as u8),
+            preempted_by: (i == 2).then(|| JobId::new(10)),
+            instigator: (i == 1).then(|| JobId::new(11)),
+        });
+    }
+    for (i, signal) in [None, Some((0, 48)), Some((1, 48)), Some((5, 0))]
+        .into_iter()
+        .enumerate()
+    {
+        store.push_health_event(HealthEvent {
+            at: SimTime::from_secs(200 + i as u64),
+            node: NodeId::new(i as u32),
+            check: CheckKind::ALL[i],
+            severity: if i % 2 == 0 {
+                Severity::High
+            } else {
+                Severity::Low
+            },
+            signal: signal.map(|(idx, code)| arb_signal(idx, code)),
+            false_positive: i == 1,
+        });
+    }
+    store.push_node_event(NodeEvent {
+        node: NodeId::new(3),
+        at: SimTime::from_secs(300),
+        kind: NodeEventKind::Quarantined,
+    });
+    store.push_exclusion(ExclusionEvent {
+        node: NodeId::new(3),
+        job: JobId::new(11),
+        at: SimTime::from_secs(310),
+    });
+    store.push_ground_truth(FailureEvent {
+        at: SimTime::from_secs(290),
+        node: NodeId::new(3),
+        mode: ModeId(12),
+        symptom: FailureSymptom::ALL[2],
+        permanent: true,
+    });
+    store.push_ckpt_fallback(CheckpointFallbackEvent {
+        at: SimTime::from_secs(320),
+        job: JobId::new(11),
+        gpus: 16,
+        intervals: 2,
+        lost: SimDuration::from_secs(3_600),
+    });
+    if v4 {
+        for (node, job) in [(Some(NodeId::new(3)), None), (None, Some(JobId::new(11)))] {
+            store.push_control_action(ControlActionEvent {
+                at: SimTime::from_secs(330),
+                kind: ControlActionKind::QuarantineNode,
+                trigger: ControlTrigger::LemonSuspect,
+                node,
+                job,
+                accepted: job.is_none(),
+                value: 1_800,
+            });
+        }
+    }
+    let mut bytes = Vec::new();
+    write_snapshot_with_frame_rows(&mut bytes, &store.seal(), 2).expect("in-memory write");
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Single-byte edits of a v3 and a v4 snapshot — a `+`, a `0` or a
+    /// `\r` inserted anywhere (after the final newline too), a digit
+    /// replaced by another digit, a comma replaced by another byte — never
+    /// load as a view that re-encodes differently: the reader refuses every
+    /// second spelling of a record, header or frame line.
+    #[test]
+    fn single_byte_edits_never_load_a_second_spelling(
+        v4 in any::<bool>(),
+        edit in 0u8..5,
+        raw_pos in any::<usize>(),
+        by in 1u8..10,
+    ) {
+        let original = edit_sample(v4);
+        let mut bytes = original.clone();
+        let of = |pick: fn(u8) -> bool| -> Vec<usize> {
+            (0..original.len()).filter(|&i| pick(original[i])).collect()
+        };
+        match edit {
+            0..=2 => bytes.insert(raw_pos % (bytes.len() + 1), [b'+', b'0', b'\r'][edit as usize]),
+            3 => {
+                let digits = of(|b| b.is_ascii_digit());
+                let at = digits[raw_pos % digits.len()];
+                bytes[at] = b'0' + (bytes[at] - b'0' + by) % 10;
+            }
+            _ => {
+                let commas = of(|b| b == b',');
+                bytes[commas[raw_pos % commas.len()]] = b";0+ \r\n;0+"[by as usize - 1];
+            }
+        }
+        prop_assert_ne!(&bytes, &original);
+        prop_assert!(read_snapshot(&bytes).is_err(), "edit {} at {} loaded", edit, raw_pos);
     }
 }

@@ -1,8 +1,8 @@
 //! Row-codec parity: the snapshot and trace writers emit exactly the rows
 //! the `String`-building encoders below produced, every row decodes back
 //! to its record, each section's last frame checkpoint is the view's
-//! chain head for that stream, and non-canonical rows are accepted or
-//! refused exactly as before.
+//! chain head for that stream, and every non-canonical spelling of a row
+//! is a parse error at that row's line.
 //!
 //! The reference encoders are a frozen copy of the original per-field
 //! `format!` implementations; everything else goes through the public
@@ -22,16 +22,17 @@ use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
 use rsc_sim_core::time::{SimDuration, SimTime};
 use rsc_telemetry::csv::format_row;
-use rsc_telemetry::snapshot::{
-    read_snapshot, write_snapshot, write_snapshot_legacy, SnapshotError,
-};
+use rsc_telemetry::snapshot::{write_snapshot, write_snapshot_legacy, SnapshotError};
 use rsc_telemetry::store::{
     CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
     NodeEvent, NodeEventKind, TelemetryStore,
 };
-use rsc_telemetry::trace::{export_jobs, import_jobs, TRACE_HEADER};
+use rsc_telemetry::trace::{export_jobs, TRACE_HEADER};
 use rsc_telemetry::view::TelemetryView;
 use rsc_telemetry::{ChainHasher, GENESIS};
+
+mod common;
+use common::{import_jobs_canonical as import_jobs, read_snapshot_canonical as read_snapshot};
 
 // ---- reference encoders (the original `String`-building rows) ----------
 
@@ -206,34 +207,6 @@ fn arb_signal(idx: u8, code: u16) -> SignalKind {
     }
 }
 
-const NODE_EVENT_KINDS: [NodeEventKind; 9] = [
-    NodeEventKind::Drain,
-    NodeEventKind::EnterRemediation,
-    NodeEventKind::ExitRemediation,
-    NodeEventKind::RepairAttemptFailed,
-    NodeEventKind::RepairEscalated,
-    NodeEventKind::EnterProbation,
-    NodeEventKind::ProbationPassed,
-    NodeEventKind::ProbationFailed,
-    NodeEventKind::Quarantined,
-];
-
-const CONTROL_KINDS: [ControlActionKind; 6] = [
-    ControlActionKind::RemediateNode,
-    ControlActionKind::QuarantineNode,
-    ControlActionKind::ReleaseNode,
-    ControlActionKind::AdaptiveRouting,
-    ControlActionKind::RestoreRouting,
-    ControlActionKind::RetuneCheckpoint,
-];
-
-const CONTROL_TRIGGERS: [ControlTrigger; 4] = [
-    ControlTrigger::LemonSuspect,
-    ControlTrigger::MttfRegression,
-    ControlTrigger::QuarantineSurge,
-    ControlTrigger::Controller,
-];
-
 prop_compose! {
     fn arb_job()(
         ids in (any::<u64>(), any::<u8>(), any::<u32>(), any::<u8>()),
@@ -288,12 +261,12 @@ prop_compose! {
     fn arb_node_event()(
         at in (any::<u64>(), any::<u8>()),
         node in (any::<u32>(), any::<u8>()),
-        kind_idx in 0usize..NODE_EVENT_KINDS.len(),
+        kind_idx in 0usize..NodeEventKind::ALL.len(),
     ) -> NodeEvent {
         NodeEvent {
             node: NodeId::new(edge_u32(node.0, node.1)),
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
-            kind: NODE_EVENT_KINDS[kind_idx],
+            kind: NodeEventKind::ALL[kind_idx],
         }
     }
 }
@@ -351,8 +324,8 @@ prop_compose! {
 prop_compose! {
     fn arb_control_action()(
         at in (any::<u64>(), any::<u8>()),
-        kind_idx in 0usize..CONTROL_KINDS.len(),
-        trigger_idx in 0usize..CONTROL_TRIGGERS.len(),
+        kind_idx in 0usize..ControlActionKind::ALL.len(),
+        trigger_idx in 0usize..ControlTrigger::ALL.len(),
         node in prop::option::of((any::<u32>(), any::<u8>())),
         job in prop::option::of((any::<u64>(), any::<u8>())),
         accepted in any::<bool>(),
@@ -360,8 +333,8 @@ prop_compose! {
     ) -> ControlActionEvent {
         ControlActionEvent {
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
-            kind: CONTROL_KINDS[kind_idx],
-            trigger: CONTROL_TRIGGERS[trigger_idx],
+            kind: ControlActionKind::ALL[kind_idx],
+            trigger: ControlTrigger::ALL[trigger_idx],
             node: node.map(|(v, p)| NodeId::new(edge_u32(v, p))),
             job: job.map(|(v, p)| JobId::new(edge_u64(v, p))),
             accepted,
@@ -644,30 +617,10 @@ fn named_and_other_xid_rows_stay_distinct() {
     assert_round_trip(&streams, &read_snapshot(bytes.as_slice()).unwrap());
 }
 
-/// How a read ended, by variant.
-#[derive(Debug, PartialEq, Eq)]
-enum Outcome {
-    Ok,
-    Parse,
-    Chain,
-    InvalidData,
-}
-
-fn outcome(bytes: &[u8]) -> Outcome {
-    match read_snapshot(bytes) {
-        Ok(_) => Outcome::Ok,
-        Err(SnapshotError::Parse { .. }) => Outcome::Parse,
-        Err(SnapshotError::Chain { .. }) => Outcome::Chain,
-        Err(SnapshotError::Io(e)) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
-            Outcome::InvalidData
-        }
-    }
-}
-
 /// Replaces the first full line equal to `row` with `with` (which carries
-/// its own line ending).
-fn replace_row(bytes: &[u8], row: &str, with: &[u8]) -> Vec<u8> {
+/// its own line ending); returns the new bytes and the row's 1-based line
+/// number.
+fn replace_row(bytes: &[u8], row: &str, with: &[u8]) -> (Vec<u8>, usize) {
     let needle = format!("\n{row}\n");
     let at = bytes
         .windows(needle.len())
@@ -676,41 +629,44 @@ fn replace_row(bytes: &[u8], row: &str, with: &[u8]) -> Vec<u8> {
     let mut out = bytes[..=at].to_vec();
     out.extend_from_slice(with);
     out.extend_from_slice(&bytes[at + needle.len()..]);
-    out
+    let line = bytes[..=at].iter().filter(|&&b| b == b'\n').count() + 1;
+    (out, line)
 }
 
-/// The non-canonical spellings of `row`, each with the outcome the
-/// original line reader and row decoders gave it. A leading `+` parses
-/// (`str::parse` accepts it) to the same record, so even the
-/// chain-verified format accepts it.
-fn variants(row: &str) -> Vec<(&'static str, Vec<u8>, Outcome)> {
+/// `row` with a `0` before its first numeric field after the first.
+fn zero_in_middle(row: &str) -> String {
+    let mut fields: Vec<String> = row.split(',').map(str::to_string).collect();
+    let i = (1..fields.len() - 1)
+        .find(|&i| !fields[i].is_empty() && fields[i].bytes().all(|b| b.is_ascii_digit()))
+        .expect("a numeric middle field");
+    fields[i].insert(0, '0');
+    fields.join(",")
+}
+
+/// Spellings of `row` that the encoders never write. Each decodes to
+/// nothing: the decoder refuses a `\r` before the `\n`, a sign, a leading
+/// zero, a missing or extra field and a non-UTF-8 byte alike.
+fn variants(row: &str) -> Vec<(&'static str, Vec<u8>)> {
     let (head, _) = row.rsplit_once(',').unwrap();
     let mut non_utf8 = row.as_bytes().to_vec();
     non_utf8.insert(1, 0xff);
     non_utf8.push(b'\n');
     vec![
-        ("crlf", format!("{row}\r\n").into_bytes(), Outcome::Ok),
+        ("crlf", format!("{row}\r\n").into_bytes()),
+        ("leading plus", format!("+{row}\n").into_bytes()),
+        ("leading zero", format!("0{row}\n").into_bytes()),
         (
-            "leading plus",
-            format!("+{row}\n").into_bytes(),
-            Outcome::Ok,
+            "leading zero in a middle field",
+            format!("{}\n", zero_in_middle(row)).into_bytes(),
         ),
-        (
-            "missing field",
-            format!("{head}\n").into_bytes(),
-            Outcome::Parse,
-        ),
-        (
-            "extra field",
-            format!("{row},0\n").into_bytes(),
-            Outcome::Parse,
-        ),
-        ("non-utf8 byte", non_utf8, Outcome::InvalidData),
+        ("missing field", format!("{head}\n").into_bytes()),
+        ("extra field", format!("{row},0\n").into_bytes()),
+        ("non-utf8 byte", non_utf8),
     ]
 }
 
 #[test]
-fn non_canonical_rows_keep_their_outcomes() {
+fn non_canonical_rows_are_parse_errors_at_their_line() {
     let streams = sample();
     let view = streams.seal();
     let framed = snapshot(&view);
@@ -719,33 +675,35 @@ fn non_canonical_rows_keep_their_outcomes() {
 
     for (name, rows) in streams.reference_rows() {
         let row = &rows[0];
-        for (what, with, want) in variants(row) {
-            let got = outcome(&replace_row(&framed, row, &with));
-            assert_eq!(got, want, "framed {name} row, {what}");
+        for (what, with) in variants(row) {
             // The legacy (v2) layout has no control_actions section.
-            if name != "control_actions" {
-                let got = outcome(&replace_row(&legacy, row, &with));
-                assert_eq!(got, want, "legacy {name} row, {what}");
+            for (layout, bytes) in [("framed", &framed), ("legacy", &legacy)] {
+                if layout == "legacy" && name == "control_actions" {
+                    continue;
+                }
+                let (edited, row_line) = replace_row(bytes, row, &with);
+                match read_snapshot(edited.as_slice()) {
+                    Err(SnapshotError::Parse { line, .. }) => {
+                        assert_eq!(line, row_line, "{layout} {name} row, {what}")
+                    }
+                    other => panic!("{layout} {name} row, {what}: {:?}", other.map(|_| ())),
+                }
             }
         }
     }
 }
 
 #[test]
-fn non_canonical_trace_rows_keep_their_outcomes() {
+fn non_canonical_trace_rows_are_parse_errors_at_their_line() {
     let jobs = sample().jobs;
     let mut trace = Vec::new();
     export_jobs(&mut trace, &jobs).unwrap();
     let row = ref_job(&jobs[0]);
-    for (what, with, want) in variants(&row) {
-        let got = match import_jobs(replace_row(&trace, &row, &with).as_slice()) {
-            Ok(back) => {
-                assert_eq!(back, jobs, "{what}");
-                Outcome::Ok
-            }
-            Err(e) if e.message.contains("valid UTF-8") => Outcome::InvalidData,
-            Err(_) => Outcome::Parse,
-        };
-        assert_eq!(got, want, "trace row, {what}");
+    for (what, with) in variants(&row) {
+        let (edited, row_line) = replace_row(&trace, &row, &with);
+        match import_jobs(edited.as_slice()) {
+            Err(e) => assert_eq!(e.line, row_line, "trace row, {what}: {e}"),
+            Ok(back) => panic!("trace row, {what}: read as {back:?}"),
+        }
     }
 }
