@@ -106,17 +106,11 @@ impl Default for AlertPolicy {
 }
 
 /// Full monitor configuration.
-///
-/// `MonitorConfig::default()` is **disabled**. Only
-/// [`MonitoredRunner`](crate::runner::MonitoredRunner) reads `enabled`:
-/// disabled, it attaches no monitor and writes no report.
-/// [`ReliabilityMonitor`](crate::monitor::ReliabilityMonitor) itself
-/// never reads it. The field stays because `rsc-control`'s pinned
-/// closed-loop fingerprint hashes the whole config.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
-    /// Whether a [`MonitoredRunner`](crate::runner::MonitoredRunner)
-    /// attaches the monitor at all.
+    /// Read by nothing. It exists only because `rsc-control`'s
+    /// `ClosedLoopSpec::fingerprint` hashes this config's `Debug` text, so
+    /// removing it would move every pinned closed-loop fingerprint.
     pub enabled: bool,
     /// Job-size floor (GPUs, exclusive) for the streaming failure-rate
     /// estimator — the paper computes `r_f` over multi-GPU jobs.
@@ -136,15 +130,7 @@ pub struct MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// The disabled configuration (also `Default`).
-    pub fn disabled() -> Self {
-        MonitorConfig {
-            enabled: false,
-            ..MonitorConfig::rsc_default()
-        }
-    }
-
-    /// The enabled default: 7-day MTTF window, the paper's 28-day lemon
+    /// The default: 7-day MTTF window, the paper's 28-day lemon
     /// window, 7-day quarantine window, default detector and alert policy.
     pub fn rsc_default() -> Self {
         MonitorConfig {
@@ -173,28 +159,15 @@ impl MonitorConfig {
     }
 }
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig::disabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_is_disabled() {
-        assert!(!MonitorConfig::default().enabled);
-        assert!(MonitorConfig::rsc_default().enabled);
-    }
 
     #[test]
     fn unwindowed_covers_horizon() {
         let cfg = MonitorConfig::unwindowed(30);
         assert!(cfg.lemon_window >= SimDuration::from_days(30));
         assert!(cfg.quarantine_window >= SimDuration::from_days(30));
-        assert!(cfg.enabled);
     }
 
     #[test]

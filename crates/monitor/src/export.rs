@@ -1,14 +1,9 @@
-//! CSV and JSON export of monitor output, built on
-//! [`rsc_telemetry::csv`]'s RFC-4180 writers.
+//! CSV rows of monitor output, for [`rsc_telemetry::csv`]'s RFC-4180
+//! writers.
 
-use std::io;
-use std::path::Path;
-
-use rsc_telemetry::csv::write_csv_file;
 use rsc_telemetry::store::ControlActionEvent;
 
 use crate::alerts::Alert;
-use crate::report::MonitorReport;
 
 /// Column header of the alert-stream CSV.
 pub const ALERTS_CSV_HEADER: [&str; 7] = [
@@ -45,15 +40,6 @@ pub fn alerts_rows(alerts: &[Alert]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Writes the alert log to a CSV file, creating parent directories.
-///
-/// # Errors
-///
-/// Returns any error from directory creation or file I/O.
-pub fn write_alerts_csv<P: AsRef<Path>>(path: P, alerts: &[Alert]) -> io::Result<()> {
-    write_csv_file(path, &ALERTS_CSV_HEADER, alerts_rows(alerts))
-}
-
 /// Column header of the control-action-stream CSV.
 pub const ACTIONS_CSV_HEADER: [&str; 7] = [
     "kind", "trigger", "at_days", "node", "job", "accepted", "value",
@@ -77,29 +63,6 @@ pub fn actions_rows(actions: &[ControlActionEvent]) -> Vec<Vec<String>> {
             ]
         })
         .collect()
-}
-
-/// Writes a control-action log to a CSV file, creating parent
-/// directories.
-///
-/// # Errors
-///
-/// Returns any error from directory creation or file I/O.
-pub fn write_actions_csv<P: AsRef<Path>>(
-    path: P,
-    actions: &[ControlActionEvent],
-) -> io::Result<()> {
-    write_csv_file(path, &ACTIONS_CSV_HEADER, actions_rows(actions))
-}
-
-/// Writes a monitor report as JSON, creating parent directories. The
-/// write is atomic (temp + rename), safe under concurrent writers.
-///
-/// # Errors
-///
-/// Returns any error from directory creation or file I/O.
-pub fn write_report_json<P: AsRef<Path>>(path: P, report: &MonitorReport) -> io::Result<()> {
-    rsc_telemetry::csv::write_file_atomic(path.as_ref(), report.to_json().as_bytes())
 }
 
 #[cfg(test)]
@@ -153,16 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn csv_file_roundtrip() {
-        let dir =
-            std::env::temp_dir().join(format!("rsc_monitor_export_test_{}", std::process::id()));
-        let path = dir.join("alerts.csv");
-        write_alerts_csv(&path, &[sample_alert()]).expect("write csv");
-        let body = std::fs::read_to_string(&path).expect("read back");
+    fn csv_body_quotes_embedded_commas() {
+        let mut body = Vec::new();
+        rsc_telemetry::csv::write_csv(
+            &mut body,
+            &ALERTS_CSV_HEADER,
+            alerts_rows(&[sample_alert()]),
+        )
+        .expect("write csv");
+        let body = String::from_utf8(body).expect("utf-8 csv");
         let mut lines = body.lines();
         assert_eq!(lines.next().expect("header").split(',').count(), 7);
         // The embedded comma is quoted, not splitting the row count.
         assert!(body.contains("\"node 7, with a \"\"comma, test\"\"\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

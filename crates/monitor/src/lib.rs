@@ -25,7 +25,10 @@
 //! Two delivery paths produce identical end states: live attachment
 //! during simulation, and [`replay::replay_view`] over a sealed
 //! [`rsc_telemetry::view::TelemetryView`] (used when the scenario cache
-//! skips simulation — see [`runner::MonitoredRunner`]). The agreement
+//! skips simulation, and by `rsc-serve` to rebuild an analysis from a
+//! sealed snapshot). [`tap::MonitorTap`] streams the monitor's
+//! transitions either way; [`export`] renders its alert log and a view's
+//! control actions as CSV rows. The crate writes no files. The agreement
 //! tests in `tests/agreement.rs` pin streaming-vs-batch equality:
 //! counters and cumulative estimators match the batch analyses exactly;
 //! windowed and histogram-based readouts match within documented
@@ -59,7 +62,6 @@ pub mod lemon;
 pub mod monitor;
 pub mod replay;
 pub mod report;
-pub mod runner;
 pub mod tap;
 
 pub use alerts::{Alert, AlertEngine, AlertKey, AlertSignal};
@@ -68,9 +70,7 @@ pub use estimators::{
     AvailabilitySnapshot, Counters, DetectionLatency, LogHistogram, RollingMttf,
     RollingMttfEstimate, StreamingAvailability, StreamingFailureRate, StreamingMttf,
 };
-pub use export::{write_actions_csv, write_alerts_csv, write_report_json};
 pub use lemon::WindowedLemon;
 pub use monitor::ReliabilityMonitor;
 pub use replay::replay_view;
 pub use report::{HistogramSummary, LemonSuspect, MonitorReport};
-pub use runner::{MonitorArtifact, MonitoredRun, MonitoredRunner};

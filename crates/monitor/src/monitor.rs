@@ -347,11 +347,6 @@ impl ReliabilityMonitor {
     pub fn gpu_swaps(&self) -> u64 {
         self.gpu_swaps
     }
-
-    /// Quarantines currently inside the trailing window.
-    pub fn windowed_quarantines(&self) -> usize {
-        self.quarantines.len()
-    }
 }
 
 #[cfg(test)]

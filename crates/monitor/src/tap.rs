@@ -5,7 +5,7 @@
 //!
 //! The tap wraps a monitor, forwards every [`SimEvent`] to it, and after
 //! each delivery emits whatever *changed*: newly raised alerts (in log
-//! order — the same order `alerts.csv` rows are written), alert clears,
+//! order — the same order as the alerts CSV rows), alert clears,
 //! control actions, a compact estimator heartbeat per daily tick, and a
 //! final `Finished` marker. Because alert state only transitions inside
 //! the monitor's tick evaluation, the emitted sequence is a pure function
@@ -41,7 +41,7 @@ pub struct EstimateTick {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MonitorEvent {
     /// An alert entered the log. `seq` is its index in the monitor's
-    /// alert log, so the raise stream enumerates `alerts.csv` rows in
+    /// alert log, so the raise stream enumerates the alerts CSV rows in
     /// order.
     AlertRaised {
         /// Index in the alert log.
@@ -237,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn raise_sequence_matches_alert_log_order(// The e2e serve test pins this against alerts.csv bytes.
+    fn raise_sequence_matches_alert_log_order(// The e2e serve test pins this against the served alerts CSV.
     ) {
         let (events, view) = run_live(13, 6);
         let raised: Vec<usize> = events

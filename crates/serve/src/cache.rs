@@ -7,24 +7,32 @@
 //! fall back to the snapshot on disk, which is replayed through the
 //! monitor and re-inserted. Eviction is strictly least-recently-used and
 //! the capacity bounds resident analyses, not bytes — entries are small
-//! (one report JSON plus the alert log) next to the views they summarize.
+//! (one report JSON, the alert log and the control actions) next to the
+//! views they summarize.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use rsc_monitor::export::{actions_rows, alerts_rows, ACTIONS_CSV_HEADER, ALERTS_CSV_HEADER};
 use rsc_monitor::report::MonitorReport;
+use rsc_telemetry::csv::write_csv;
+use rsc_telemetry::store::ControlActionEvent;
 
 /// One sealed scenario's served artifacts: the canonical analysis JSON
-/// (the byte-identity unit of the determinism contract) plus the report
-/// it was rendered from.
+/// (the byte-identity unit of the determinism contract), the report it
+/// was rendered from, and the view's control actions — everything the
+/// JSON and both CSV bodies are rendered from.
 #[derive(Debug)]
 pub struct SealedAnalysis {
     /// The scenario fingerprint.
     pub fingerprint: u64,
     /// Canonical analysis JSON, served verbatim to every client.
     pub json: Arc<str>,
-    /// The monitor report the JSON renders.
+    /// The monitor report the JSON renders; its alert log is the alerts
+    /// CSV.
     pub report: MonitorReport,
+    /// The sealed view's control-action log, the actions CSV.
+    pub actions: Vec<ControlActionEvent>,
 }
 
 impl SealedAnalysis {
@@ -33,7 +41,7 @@ impl SealedAnalysis {
     /// from the sealed view plus the service's monitor config, so live
     /// execution, cache replay, and disk reload all render identical
     /// bytes.
-    pub fn new(fingerprint: u64, report: MonitorReport) -> Self {
+    pub fn new(fingerprint: u64, report: MonitorReport, actions: Vec<ControlActionEvent>) -> Self {
         let json = crate::json::Object::new()
             .field(
                 "fingerprint",
@@ -45,8 +53,26 @@ impl SealedAnalysis {
             fingerprint,
             json: json.into(),
             report,
+            actions,
         }
     }
+
+    /// The alert log as CSV ([`ALERTS_CSV_HEADER`] and one row per alert).
+    pub fn alerts_csv(&self) -> Vec<u8> {
+        csv_body(&ALERTS_CSV_HEADER, alerts_rows(&self.report.alerts))
+    }
+
+    /// The control-action log as CSV ([`ACTIONS_CSV_HEADER`] and one row
+    /// per action).
+    pub fn actions_csv(&self) -> Vec<u8> {
+        csv_body(&ACTIONS_CSV_HEADER, actions_rows(&self.actions))
+    }
+}
+
+fn csv_body(header: &[&str], rows: Vec<Vec<String>>) -> Vec<u8> {
+    let mut body = Vec::new();
+    write_csv(&mut body, header, rows).expect("writing to a Vec cannot fail");
+    body
 }
 
 /// LRU counters, surfaced on `/healthz`.
@@ -140,7 +166,7 @@ mod tests {
 
     fn analysis(fp: u64) -> Arc<SealedAnalysis> {
         let report = ReliabilityMonitor::new(MonitorConfig::rsc_default()).report();
-        Arc::new(SealedAnalysis::new(fp, report))
+        Arc::new(SealedAnalysis::new(fp, report, Vec::new()))
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //!
 //! Everything the service *decides* lives here — which handler a request
 //! hits, how a sweep becomes queued jobs, how a job executes through the
-//! shared [`MonitoredRunner`] (live on a cache miss, replayed on a hit),
-//! and how a sealed analysis is found (LRU, then artifact cache on disk).
+//! shared [`ScenarioRunner`] with a [`MonitorTap`] attached (live on a
+//! cache miss, replayed on a hit), and how a sealed analysis is found
+//! (LRU, then the snapshot on disk). Every analysis body — JSON, both
+//! CSVs, SSE frames — comes out of one function, [`seal_analysis`], and
+//! the sealed snapshot is the only file the service writes.
 //! The socket layer in [`crate::server`] only moves bytes. That split is
 //! what makes the determinism contract testable: `handle` is a plain
 //! function from a parsed [`Request`] to an [`Action`], so byte-identity
@@ -18,10 +21,10 @@ use std::thread::JoinHandle;
 use rsc_monitor::config::MonitorConfig;
 use rsc_monitor::monitor::ReliabilityMonitor;
 use rsc_monitor::replay::replay_view;
-use rsc_monitor::runner::{MonitorArtifact, MonitoredRunner};
-use rsc_monitor::tap::MonitorSink;
+use rsc_monitor::tap::{MonitorSink, MonitorTap};
+use rsc_sim::bus::SharedObserver;
 use rsc_sim::config::SimConfig;
-use rsc_sim::runner::{snapshot_file_name, ScenarioRunner, ScenarioSpec};
+use rsc_sim::runner::{snapshot_file_name, ObservedOutcome, ScenarioRunner, ScenarioSpec};
 use rsc_telemetry::snapshot::{load_snapshot_file, SnapshotError};
 use rsc_telemetry::view::TelemetryView;
 
@@ -80,13 +83,13 @@ pub enum Action {
     Shutdown(Response),
 }
 
-/// The shared state behind every connection and worker: the monitored
-/// scenario runner (with its artifact cache), the job registry, the
-/// analysis LRU, and the SSE hub.
+/// The shared state behind every connection and worker: the scenario
+/// runner (with its artifact cache), the job registry, the analysis LRU,
+/// and the SSE hub.
 #[derive(Debug)]
 pub struct ServiceState {
     config: ServiceConfig,
-    runner: MonitoredRunner,
+    runner: ScenarioRunner,
     jobs: JobRegistry,
     cache: AnalysisCache,
     hub: EventHub,
@@ -99,17 +102,13 @@ pub struct ServiceState {
 impl ServiceState {
     /// Builds the state for one service instance.
     pub fn new(config: ServiceConfig) -> Arc<Self> {
-        let runner = MonitoredRunner::new(
-            ScenarioRunner::new()
+        Arc::new(ServiceState {
+            runner: ScenarioRunner::new()
                 .with_cache_dir(&config.cache_dir)
                 .workers(1),
-            MonitorConfig::rsc_default(),
-        );
-        Arc::new(ServiceState {
             jobs: JobRegistry::new(config.queue_capacity),
             cache: AnalysisCache::new(config.lru_capacity),
             hub: EventHub::new(config.sse_buffer),
-            runner,
             requests: AtomicU64::new(0),
             corrupt_reads: AtomicU64::new(0),
             config,
@@ -156,9 +155,10 @@ impl ServiceState {
         self.hub.close_all();
     }
 
-    /// Executes one claimed job through the [`MonitoredRunner`] — live on
-    /// a miss, replayed on a hit, its monitor events streaming to the hub
-    /// either way — and seals the analysis into the LRU.
+    /// Executes one claimed job through the runner with a [`MonitorTap`]
+    /// attached — live on a miss, replayed on a hit, its monitor events
+    /// streaming to the hub either way — and seals the analysis into the
+    /// LRU.
     fn execute_job(self: &Arc<Self>, id: u64, spec: &ScenarioSpec) {
         let hub = Arc::clone(self);
         let sink: MonitorSink = Box::new(move |event| {
@@ -166,12 +166,12 @@ impl ServiceState {
                 .publish(id, event.label(), &monitor_event_json(event));
         });
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.runner.run_one_tapped(spec, Some(sink))
+            let tap = SharedObserver::new(fresh_tap(sink));
+            let (view, outcome) = self.runner.run_one_observed(spec, Box::new(tap.clone()));
+            tap.with(|tap| seal_analysis(spec.fingerprint(), &view, tap, outcome))
         }));
         match run {
-            Ok(run) => {
-                let report = run.report.expect("the service monitor is always enabled");
-                let sealed = SealedAnalysis::new(spec.fingerprint(), report);
+            Ok(sealed) => {
                 self.cache.insert(Arc::new(sealed));
                 self.jobs.mark_sealed(id);
             }
@@ -183,7 +183,7 @@ impl ServiceState {
     }
 
     /// The sealed analysis for a fingerprint: LRU first, then the on-disk
-    /// snapshot replayed through a fresh monitor (and re-inserted). All
+    /// snapshot replayed through [`seal_analysis`] (and re-inserted). All
     /// three paths — live execution, LRU hit, disk reload — render the
     /// identical bytes, because the analysis is a pure function of
     /// (fingerprint, sealed view, monitor config).
@@ -201,9 +201,13 @@ impl ServiceState {
         let Some(view) = self.sealed_view(fingerprint)? else {
             return Ok(None);
         };
-        let mut monitor = ReliabilityMonitor::new(self.runner.config().clone());
-        replay_view(&view, &mut monitor);
-        let sealed = Arc::new(SealedAnalysis::new(fingerprint, monitor.report()));
+        let mut tap = fresh_tap(Box::new(|_| {}));
+        let sealed = Arc::new(seal_analysis(
+            fingerprint,
+            &view,
+            &mut tap,
+            ObservedOutcome::CachedSkipped,
+        ));
         self.cache.insert(Arc::clone(&sealed));
         Ok(Some(sealed))
     }
@@ -285,7 +289,7 @@ impl ServiceState {
     /// an analysis read found it), LRU counters, SSE hub counters.
     fn healthz_json(&self) -> String {
         let queue = self.jobs.counts();
-        let artifacts = self.runner.runner().stats();
+        let artifacts = self.runner.stats();
         let lru = self.cache.stats();
         let sse = self.hub.stats();
         json::Object::new()
@@ -346,15 +350,23 @@ impl ServiceState {
                 return Response::error(400, "bad_scale", "scale must be a positive integer")
             }
         };
-        let config = match preset_config(preset, scale) {
-            Some(config) => config,
-            None => {
+        let Some(base) = preset_config(preset) else {
+            return Response::error(
+                400,
+                "unknown_preset",
+                "preset must be small_test, rsc1, or rsc2",
+            );
+        };
+        let config = match scale {
+            Some(divisor) if base.cluster.num_nodes() / divisor == 0 => {
                 return Response::error(
                     400,
-                    "unknown_preset",
-                    "preset must be small_test, rsc1, or rsc2",
+                    "bad_scale",
+                    "scale must leave the preset at least one node",
                 )
             }
+            Some(divisor) if divisor > 1 => base.scaled_down(divisor),
+            _ => base,
         };
         let days = match req.query("days").map(str::parse::<u64>) {
             None => 3,
@@ -460,49 +472,18 @@ impl ServiceState {
         }
     }
 
-    /// One sealed CSV artifact for a fingerprint. The file written at seal
-    /// is served verbatim when present; a missing file (cache pruned) is
-    /// re-rendered from the sealed analysis through the same renderer that
-    /// wrote it, so both paths serve identical bytes.
+    /// One CSV body of a fingerprint's sealed analysis, rendered from the
+    /// analysis [`Self::analysis_for`] finds, so it is the same bytes on
+    /// every path.
     fn analysis_csv(&self, fingerprint: u64, kind: &str) -> Response {
-        use rsc_monitor::export::{
-            actions_rows, alerts_rows, ACTIONS_CSV_HEADER, ALERTS_CSV_HEADER,
-        };
-        let artifact = match kind {
-            "alerts" => MonitorArtifact::Alerts,
-            "actions" => MonitorArtifact::Actions,
+        let render: fn(&SealedAnalysis) -> Vec<u8> = match kind {
+            "alerts" => SealedAnalysis::alerts_csv,
+            "actions" => SealedAnalysis::actions_csv,
             _ => return Response::error(400, "bad_kind", "kind must be alerts or actions"),
         };
-        let dir = &self.config.cache_dir;
-        if let Ok(bytes) = std::fs::read(dir.join(artifact.file_name(fingerprint))) {
-            return Response::csv(200, bytes);
-        }
-        let mut body = Vec::new();
-        let rendered = match artifact {
-            MonitorArtifact::Alerts => self.analysis_for(fingerprint).map(|sealed| {
-                sealed.is_some_and(|sealed| {
-                    rsc_telemetry::csv::write_csv(
-                        &mut body,
-                        &ALERTS_CSV_HEADER,
-                        alerts_rows(&sealed.report.alerts),
-                    )
-                    .is_ok()
-                })
-            }),
-            _ => self.sealed_view(fingerprint).map(|view| {
-                view.is_some_and(|view| {
-                    rsc_telemetry::csv::write_csv(
-                        &mut body,
-                        &ACTIONS_CSV_HEADER,
-                        actions_rows(view.control_actions()),
-                    )
-                    .is_ok()
-                })
-            }),
-        };
-        match rendered {
-            Ok(true) => Response::csv(200, body),
-            Ok(false) => Response::error(404, "csv_missing", "sealed CSV artifact not found"),
+        match self.analysis_for(fingerprint) {
+            Ok(Some(sealed)) => Response::csv(200, render(&sealed)),
+            Ok(None) => Response::error(404, "csv_missing", "sealed CSV artifact not found"),
             Err(e) => corrupt_artifact(&e),
         }
     }
@@ -517,6 +498,33 @@ impl ServiceState {
             Err(e) => corrupt_artifact(&e),
         }
     }
+}
+
+/// A tap over a fresh monitor with the configuration every analysis the
+/// service serves is derived under.
+fn fresh_tap(sink: MonitorSink) -> MonitorTap {
+    MonitorTap::new(ReliabilityMonitor::new(MonitorConfig::rsc_default()), sink)
+}
+
+/// Derives the sealed analysis of one view: the single path every served
+/// analysis body — JSON, both CSVs, SSE frames — comes out of. A tap that
+/// watched the run live already holds its end state; on
+/// [`ObservedOutcome::CachedSkipped`] the view is replayed into it first,
+/// which streams the identical event sequence to its sink.
+fn seal_analysis(
+    fingerprint: u64,
+    view: &TelemetryView,
+    tap: &mut MonitorTap,
+    outcome: ObservedOutcome,
+) -> SealedAnalysis {
+    if outcome == ObservedOutcome::CachedSkipped {
+        replay_view(view, tap);
+    }
+    SealedAnalysis::new(
+        fingerprint,
+        tap.monitor().report(),
+        view.control_actions().to_vec(),
+    )
 }
 
 /// The answer for a sealed artifact that exists but failed to load: a
@@ -557,18 +565,14 @@ fn job_json(snap: &JobSnapshot) -> String {
         .finish()
 }
 
-/// Resolves a preset name (optionally scaled down) to a configuration.
-fn preset_config(preset: &str, scale: Option<u32>) -> Option<SimConfig> {
-    let base = match preset {
-        "small_test" => SimConfig::small_test_cluster(),
-        "rsc1" => SimConfig::rsc1(),
-        "rsc2" => SimConfig::rsc2(),
-        _ => return None,
-    };
-    Some(match scale {
-        Some(divisor) if divisor > 1 => base.scaled_down(divisor),
-        _ => base,
-    })
+/// Resolves a preset name to its full-size configuration.
+fn preset_config(preset: &str) -> Option<SimConfig> {
+    match preset {
+        "small_test" => Some(SimConfig::small_test_cluster()),
+        "rsc1" => Some(SimConfig::rsc1()),
+        "rsc2" => Some(SimConfig::rsc2()),
+        _ => None,
+    }
 }
 
 /// Parses `1,2,3` into seeds; `None` on any non-integer entry.
@@ -632,6 +636,17 @@ mod tests {
         assert_eq!(
             respond(&state, &post("/api/v1/sweeps?seeds=1,x")).status,
             400
+        );
+        // A scale that divides the preset down to no nodes.
+        let bad_scale = respond(&state, &post("/api/v1/sweeps?preset=small_test&scale=1000"));
+        assert_eq!(bad_scale.status, 400);
+        assert!(String::from_utf8(bad_scale.body)
+            .unwrap()
+            .contains("\"bad_scale\""));
+        // The largest scale that leaves one node is accepted.
+        assert_eq!(
+            respond(&state, &post("/api/v1/sweeps?preset=small_test&scale=64")).status,
+            202
         );
         assert_eq!(respond(&state, &get("/api/v1/jobs/99")).status, 404);
         assert_eq!(respond(&state, &get("/api/v1/analysis/zz")).status, 404);
@@ -701,6 +716,32 @@ mod tests {
         parse_request(&mut raw.as_bytes()).unwrap().unwrap()
     }
 
+    /// Both CSV bodies of a spec, computed in-process: simulate, replay
+    /// through the service's monitor config, render.
+    fn expected_csvs(spec: &ScenarioSpec) -> (Vec<u8>, Vec<u8>) {
+        use rsc_monitor::export::{
+            actions_rows, alerts_rows, ACTIONS_CSV_HEADER, ALERTS_CSV_HEADER,
+        };
+        use rsc_telemetry::csv::write_csv;
+        let view = spec.simulate();
+        let mut monitor = ReliabilityMonitor::new(MonitorConfig::rsc_default());
+        replay_view(&view, &mut monitor);
+        let (mut alerts, mut actions) = (Vec::new(), Vec::new());
+        write_csv(
+            &mut alerts,
+            &ALERTS_CSV_HEADER,
+            alerts_rows(&monitor.report().alerts),
+        )
+        .unwrap();
+        write_csv(
+            &mut actions,
+            &ACTIONS_CSV_HEADER,
+            actions_rows(view.control_actions()),
+        )
+        .unwrap();
+        (alerts, actions)
+    }
+
     #[test]
     fn accept_csv_downloads_sealed_artifacts() {
         let dir = temp_cache("csv");
@@ -713,33 +754,28 @@ mod tests {
         );
         wait_sealed(&state, 0);
         let fp = state.jobs().get(0).unwrap().fingerprint;
+        let (expected_alerts, expected_actions) =
+            expected_csvs(&ScenarioSpec::new(SimConfig::small_test_cluster(), 5, 2));
 
         // Default JSON is untouched by the negotiation.
         let json = respond(&state, &get("/api/v1/jobs/0/analysis"));
         assert_eq!(json.content_type, "application/json");
 
-        // Accept: text/csv serves the sealed alert log verbatim.
+        // Accept: text/csv serves the sealed alert log.
         let alerts = respond(&state, &get_csv("/api/v1/jobs/0/analysis"));
         assert_eq!((alerts.status, alerts.content_type), (200, "text/csv"));
-        let alerts_path = dir.join(MonitorArtifact::Alerts.file_name(fp));
-        let on_disk = std::fs::read(&alerts_path).unwrap();
-        assert_eq!(alerts.body, on_disk);
+        assert_eq!(alerts.body, expected_alerts);
         assert!(alerts.body.starts_with(b"kind,node,raised_at_days"));
 
         // kind=actions selects the control-action log.
         let actions = respond(&state, &get_csv("/api/v1/jobs/0/analysis?kind=actions"));
         assert_eq!((actions.status, actions.content_type), (200, "text/csv"));
-        assert_eq!(
-            actions.body,
-            std::fs::read(dir.join(MonitorArtifact::Actions.file_name(fp))).unwrap()
-        );
+        assert_eq!(actions.body, expected_actions);
 
-        // A pruned file regenerates byte-identically from the sealed
-        // analysis.
-        std::fs::remove_file(&alerts_path).unwrap();
-        let regenerated = respond(&state, &get_csv("/api/v1/jobs/0/analysis"));
-        assert_eq!(regenerated.status, 200);
-        assert_eq!(regenerated.body, on_disk);
+        // A cold LRU reloads the snapshot and renders the same bytes.
+        let fresh = ServiceState::new(ServiceConfig::with_cache_dir(&dir));
+        assert_eq!(fresh.analysis_csv(fp, "alerts").body, expected_alerts);
+        assert_eq!(fresh.analysis_csv(fp, "actions").body, expected_actions);
 
         // Unknown kinds reject crisply.
         assert_eq!(
@@ -775,16 +811,20 @@ mod tests {
         let fp = state.jobs().get(0).unwrap().fingerprint;
         let expected = state.analysis_for(fp).unwrap().unwrap();
         assert_eq!(json.body, expected.json.as_bytes());
+        // Both CSV bodies render from the resident analysis, the same
+        // bytes a writable cache dir serves.
+        let (expected_alerts, expected_actions) =
+            expected_csvs(&ScenarioSpec::new(SimConfig::small_test_cluster(), 5, 2));
         let alerts = respond(&state, &get_csv("/api/v1/jobs/0/analysis"));
         assert_eq!((alerts.status, alerts.content_type), (200, "text/csv"));
-        assert!(alerts.body.starts_with(b"kind,node,raised_at_days"));
-        // The action log lives only in the snapshot, which could not be
-        // published: a typed 404, never a wrong body.
+        assert_eq!(alerts.body, expected_alerts);
         let actions = respond(&state, &get_csv("/api/v1/jobs/0/analysis?kind=actions"));
-        assert_eq!(actions.status, 404);
-        assert!(String::from_utf8(actions.body)
-            .unwrap()
-            .contains("\"csv_missing\""));
+        assert_eq!((actions.status, actions.content_type), (200, "text/csv"));
+        assert_eq!(actions.body, expected_actions);
+        assert_eq!(
+            actions.body,
+            b"kind,trigger,at_days,node,job,accepted,value\n"
+        );
 
         // The worker was freed: a second job seals too.
         assert_eq!(
@@ -842,14 +882,56 @@ mod tests {
         let missing = respond(&fresh, &get(&format!("/api/v1/analysis/{:016x}", fp ^ 1)));
         assert_eq!(missing.status, 404);
 
-        // The action log re-renders from the snapshot once its CSV is gone.
-        std::fs::remove_file(dir.join(MonitorArtifact::Actions.file_name(fp))).unwrap();
-        let actions = respond(&state, &get_csv("/api/v1/jobs/0/analysis?kind=actions"));
+        // The CSV route reads the same snapshot on a cold LRU.
+        let actions = fresh.analysis_csv(fp, "actions");
         assert_eq!(actions.status, 500);
+        assert!(String::from_utf8(actions.body)
+            .unwrap()
+            .contains("\"artifact_corrupt\""));
         let health = String::from_utf8(respond(&fresh, &get("/healthz")).body).unwrap();
-        assert!(health.contains("\"corrupt\":1,"), "{health}");
+        assert!(health.contains("\"corrupt\":2,"), "{health}");
+        // The state whose LRU holds the analysis never reads the disk.
+        let actions = respond(&state, &get_csv("/api/v1/jobs/0/analysis?kind=actions"));
+        assert_eq!(actions.status, 200);
         let health = String::from_utf8(respond(&state, &get("/healthz")).body).unwrap();
-        assert!(health.contains("\"corrupt\":1,"), "{health}");
+        assert!(health.contains("\"corrupt\":0,"), "{health}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_jobs_leave_only_snapshots_in_the_cache_dir() {
+        let dir = temp_cache("only-snapshots");
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServiceState::new(ServiceConfig::with_cache_dir(&dir));
+        let workers = state.spawn_job_workers();
+        // Seed 5 twice: the second job is an artifact-cache hit, replayed.
+        for (id, seeds) in [(0, "5,6"), (2, "5")] {
+            let accepted = respond(
+                &state,
+                &post(&format!("/api/v1/sweeps?seeds={seeds}&days=2")),
+            );
+            assert_eq!(accepted.status, 202);
+            wait_sealed(&state, id);
+        }
+        wait_sealed(&state, 1);
+        let health = String::from_utf8(respond(&state, &get("/healthz")).body).unwrap();
+        assert!(health.contains("\"hits\":1,\"misses\":2,"), "{health}");
+
+        let mut expected: Vec<String> = (0..2)
+            .map(|id| snapshot_file_name(state.jobs().get(id).unwrap().fingerprint))
+            .collect();
+        expected.sort();
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, expected);
+
+        state.begin_shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

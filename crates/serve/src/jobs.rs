@@ -3,8 +3,9 @@
 //!
 //! Submissions append jobs to a bounded FIFO; worker threads (spawned by
 //! [`crate::core::ServiceState`]) claim jobs in submission order, execute
-//! them through the shared `MonitoredRunner` (artifact-cache hits replay
-//! instead of re-simulating), and seal the result into the analysis LRU.
+//! them through the shared `ScenarioRunner` with a monitor tap attached
+//! (artifact-cache hits replay instead of re-simulating), and seal the
+//! result into the analysis LRU.
 //! A full queue rejects the submit with a typed error — backpressure is
 //! visible to the client as `429`, never an unbounded queue.
 

@@ -16,8 +16,12 @@
 //! - [`http`] — a bounded, panic-free HTTP/1.1 parser and response
 //!   writer; every malformed input maps to a typed 4xx.
 //! - [`core`] — the socket-free service brain: routing, the sweep → job
-//!   pipeline over `rsc_monitor::runner::MonitoredRunner` (artifact-cache
-//!   hits replay instead of re-simulating), and the analysis read path.
+//!   pipeline over `rsc_sim::runner::ScenarioRunner` with a
+//!   `rsc_monitor::tap::MonitorTap` attached (artifact-cache hits replay
+//!   instead of re-simulating), and the analysis read path. One function
+//!   there derives every analysis body — JSON, alerts and actions CSV, SSE
+//!   frames — from a sealed view; the sealed snapshot is the only file the
+//!   service writes.
 //! - [`jobs`] — the bounded job queue and its state machine
 //!   (queued → running → sealed/failed); overflow is a visible `429`.
 //! - [`cache`] — the in-memory LRU of sealed analyses over the on-disk
@@ -42,7 +46,7 @@
 //! concurrent clients all receive those same bytes (`tests/e2e.rs` pins
 //! this over real sockets). The SSE stream inherits the same property:
 //! live and replayed runs emit identical frame sequences, and alert
-//! frames enumerate `alerts.csv` rows in order.
+//! frames enumerate the served alerts CSV rows in order.
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,10 @@
 //! End-to-end service tests over real sockets: the full client flow, the
-//! byte-identity determinism contract under concurrency, and the SSE
-//! stream pinned against the sealed alert log.
+//! byte-identity determinism contract under concurrency, the SSE stream
+//! pinned against the served alert log, and a bad request that leaves the
+//! worker serving.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,7 +12,6 @@ use std::time::{Duration, Instant};
 use rsc_monitor::config::MonitorConfig;
 use rsc_monitor::monitor::ReliabilityMonitor;
 use rsc_monitor::replay::replay_view;
-use rsc_monitor::runner::MonitorArtifact;
 use rsc_serve::cache::SealedAnalysis;
 use rsc_serve::client::{self, SseClient, SseFrame};
 use rsc_serve::core::ServiceConfig;
@@ -34,9 +35,13 @@ fn expected_analysis(spec: &ScenarioSpec, monitor_config: &MonitorConfig) -> Str
     let view = spec.simulate();
     let mut monitor = ReliabilityMonitor::new(monitor_config.clone());
     replay_view(&view, &mut monitor);
-    SealedAnalysis::new(spec.fingerprint(), monitor.report())
-        .json
-        .to_string()
+    SealedAnalysis::new(
+        spec.fingerprint(),
+        monitor.report(),
+        view.control_actions().to_vec(),
+    )
+    .json
+    .to_string()
 }
 
 /// Picks a small scenario whose horizon raises at least one alert, so the
@@ -53,6 +58,22 @@ fn alerting_spec(monitor_config: &MonitorConfig) -> (ScenarioSpec, usize) {
         }
     }
     panic!("no small_test seed in 1..64 raises an alert over 6 days");
+}
+
+/// `GET target` with `Accept: text/csv`, which [`client::get`] does not
+/// send: the status line and the body.
+fn get_csv(addr: SocketAddr, target: &str) -> (String, String) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    write!(
+        conn,
+        "GET {target} HTTP/1.1\r\nAccept: text/csv\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send request");
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).expect("read response");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.to_string())
 }
 
 fn wait_for_sealed(addr: SocketAddr, job: u64) {
@@ -224,21 +245,20 @@ fn sse_stream_matches_sealed_alert_log_live_and_replayed() {
     );
     assert_eq!(client::post(addr, &submit).expect("submit").status, 202);
     let live = drain_job_frames(&mut live_stream);
-    // The finished frame precedes artifact writes; sealed state follows
-    // them.
+    // The finished frame precedes the seal; the analysis routes answer
+    // once the job is sealed.
     wait_for_sealed(addr, 0);
 
     // Raise frames enumerate the sealed alert log in order: same count
-    // and field order as the alerts.csv rows written next to the
-    // artifact.
+    // and field order as the rows of the served alerts CSV.
     let raises: Vec<&SseFrame> = live.iter().filter(|f| f.event == "alert").collect();
     assert_eq!(
         raises.len(),
         expected_alerts,
         "scenario raised a different alert count"
     );
-    let csv_path = dir.join(MonitorArtifact::Alerts.file_name(spec.fingerprint()));
-    let csv = std::fs::read_to_string(&csv_path).expect("alerts.csv written");
+    let (status, csv) = get_csv(addr, "/api/v1/jobs/0/analysis");
+    assert_eq!(status, "HTTP/1.1 200 OK");
     let rows: Vec<&str> = csv.lines().skip(1).collect();
     assert_eq!(rows.len(), raises.len(), "csv rows vs raise frames");
     for (seq, (frame, row)) in raises.iter().zip(&rows).enumerate() {
@@ -278,6 +298,32 @@ fn sse_stream_matches_sealed_alert_log_live_and_replayed() {
             .collect()
     };
     assert_eq!(strip(&live), strip(&replayed));
+
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_scale_is_a_typed_400_and_the_only_worker_keeps_serving() {
+    let dir = temp_cache("bad-scale");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::with_cache_dir(&dir), 1)
+        .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    assert_eq!(client::get(addr, "/healthz").expect("healthz").status, 200);
+
+    let rejected = client::post(addr, "/api/v1/sweeps?preset=small_test&scale=1000")
+        .expect("a bad scale still gets an answer");
+    assert_eq!(rejected.status, 400);
+    assert!(
+        rejected.text().contains("\"bad_scale\""),
+        "{}",
+        rejected.text()
+    );
+
+    // The one HTTP worker survived the request.
+    assert_eq!(client::get(addr, "/healthz").expect("healthz").status, 200);
 
     server.shutdown();
     server.join();

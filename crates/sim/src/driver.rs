@@ -25,7 +25,6 @@ use rsc_health::lifecycle::{
     ReleasePolicy,
 };
 use rsc_health::monitor::{HealthEvent, HealthMonitor};
-use rsc_network::routing::RoutingPolicy;
 use rsc_sched::job::{Destiny, JobStatus};
 use rsc_sched::sched::{InterruptCause, Scheduler, StartedAttempt};
 use rsc_sim_core::event::EventQueue;
@@ -171,8 +170,6 @@ pub struct ClusterSim {
     commands: Option<CommandQueue>,
     /// Whether the control plane flipped fabric routing to adaptive.
     routing_adaptive: bool,
-    /// The baseline static routing policy restored by `RestoreRouting`.
-    base_routing: RoutingPolicy,
     /// Control-plane checkpoint-cadence override, applied to newly
     /// submitted jobs.
     ckpt_retune: Option<SimDuration>,
@@ -251,9 +248,6 @@ impl ClusterSim {
             events_processed: 0,
             commands: None,
             routing_adaptive: false,
-            base_routing: RoutingPolicy::Static {
-                shield_threshold: 1.0,
-            },
             ckpt_retune: None,
             release_policies: HashMap::new(),
             phase_timings: None,
@@ -270,22 +264,6 @@ impl ClusterSim {
         self.commands = Some(queue);
     }
 
-    /// The fabric routing policy currently in force: the baseline static
-    /// policy unless the control plane flipped routing to adaptive.
-    pub fn routing_policy(&self) -> RoutingPolicy {
-        if self.routing_adaptive {
-            RoutingPolicy::Adaptive
-        } else {
-            self.base_routing
-        }
-    }
-
-    /// The control plane's checkpoint-cadence override, if one is in
-    /// force. Newly submitted jobs checkpoint at this interval.
-    pub fn checkpoint_interval_override(&self) -> Option<SimDuration> {
-        self.ckpt_retune
-    }
-
     /// Attaches an event-stream observer (see [`crate::bus`]). The
     /// observer immediately receives [`SimEvent::Start`], then every
     /// telemetry record as the run produces it. Observers are passive:
@@ -297,11 +275,6 @@ impl ClusterSim {
             num_nodes: self.config.cluster.num_nodes(),
         });
         self.observers.push(observer);
-    }
-
-    /// Detaches and returns all attached observers.
-    pub fn take_observers(&mut self) -> Vec<Box<dyn SimObserver>> {
-        std::mem::take(&mut self.observers)
     }
 
     /// Mirrors one event to every attached observer.

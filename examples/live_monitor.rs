@@ -60,5 +60,5 @@ fn main() {
     }
 
     println!("\n(the same numbers stream from a cache replay: see");
-    println!(" rsc_reliability::monitor::runner::MonitoredRunner)");
+    println!(" rsc_reliability::monitor::replay::replay_view)");
 }
