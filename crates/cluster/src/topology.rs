@@ -47,7 +47,7 @@ impl Topology {
 
     /// The pod containing a node.
     pub fn pod_of(&self, node: NodeId) -> PodId {
-        PodId::new(node.index() / (self.nodes_per_rack * self.racks_per_pod))
+        PodId::new(node.index() / self.nodes_per_pod())
     }
 
     /// Locality class between two nodes.
@@ -63,11 +63,21 @@ impl Topology {
         }
     }
 
+    /// Nodes in a full pod (the last pod may hold fewer).
+    pub fn nodes_per_pod(&self) -> u32 {
+        self.nodes_per_rack * self.racks_per_pod
+    }
+
+    /// Number of pods, counting a partial last pod.
+    pub fn num_pods(&self) -> u32 {
+        self.num_nodes.div_ceil(self.nodes_per_pod())
+    }
+
     /// The contiguous raw node-id range `[start, end)` covered by a pod.
     /// Node ids are assigned pod-major, so every pod is a dense id span —
     /// the property the allocator's bitset indexes slice on.
     pub fn pod_range(&self, pod: PodId) -> std::ops::Range<u32> {
-        let per_pod = self.nodes_per_rack * self.racks_per_pod;
+        let per_pod = self.nodes_per_pod();
         let start = pod.index() * per_pod;
         let end = (start + per_pod).min(self.num_nodes);
         start..end
@@ -107,6 +117,10 @@ mod tests {
         // 20 nodes per pod.
         assert_eq!(t.pod_of(NodeId::new(19)), PodId::new(0));
         assert_eq!(t.pod_of(NodeId::new(20)), PodId::new(1));
+        assert_eq!((t.nodes_per_pod(), t.num_pods()), (20, 5));
+        let partial = Topology::new(&ClusterSpec::new("t", 70));
+        assert_eq!(partial.num_pods(), 4);
+        assert_eq!(partial.pod_range(PodId::new(3)), 60..70);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! Multi-node placement packs pods first, mirroring Slurm's attempt to
 //! "co-locate the tasks given the physical network topology" (§II-A).
 
-use std::collections::BTreeSet;
-
 use rsc_cluster::bitset::HierBitSet;
 use rsc_cluster::ids::{NodeId, PodId};
 use rsc_cluster::node::GPUS_PER_NODE;
@@ -28,15 +26,19 @@ use crate::job::JobSpec;
 ///   fully-free nodes are not stored twice: node ids are pod-contiguous,
 ///   so they are recovered by slicing `by_free[8]` with the pod's id
 ///   range ([`Topology::pod_range`]);
-/// * `pods_by_fullness` holds `(Reverse(count), p)` for every pod `p`
-///   with a non-zero `whole_count_by_pod[p]` — its ascending order is the
-///   whole-node packing order (fullest pod first, ties to the lowest
-///   pod index), kept current so allocation never sorts.
+/// * `pods_by_fullness` holds the key `(per_pod − count) · num_pods + p`
+///   for every pod `p` with a non-zero `count = whole_count_by_pod[p]`
+///   (`num_pods = whole_count_by_pod.len()`). A count never exceeds
+///   `per_pod`, so ascending key order is the whole-node packing order —
+///   most fully-free nodes first, ties to the lowest pod index — and
+///   `key % num_pods` recovers the pod. It is kept current so allocation
+///   never sorts.
 ///
-/// The per-free-count buckets are hierarchical bitsets rather than
-/// B-trees: at a million nodes every commit/release re-files the node in
-/// two buckets, and the bitset does each re-file with two or three word
-/// writes instead of a pointer walk.
+/// Every set in the index is a hierarchical bitset rather than a B-tree:
+/// at a million nodes every commit/release re-files the node in two
+/// buckets and may re-file its pod in the packing order, and the bitset
+/// does each re-file with two or three word writes instead of a pointer
+/// walk.
 ///
 /// Unavailable nodes are absent from every structure; toggling
 /// availability re-files the node.
@@ -46,7 +48,17 @@ struct PoolIndex {
     by_free: [HierBitSet; GPUS_PER_NODE + 1],
     whole_count_by_pod: Vec<usize>,
     whole_total: usize,
-    pods_by_fullness: BTreeSet<(std::cmp::Reverse<usize>, u32)>,
+    /// Nodes in a full pod: the largest possible `whole_count_by_pod`.
+    per_pod: usize,
+    pods_by_fullness: HierBitSet,
+}
+
+impl PoolIndex {
+    /// The packing-order key of pod `pod` holding `count ≥ 1` fully-free
+    /// nodes.
+    fn fullness_key(&self, pod: usize, count: usize) -> u32 {
+        ((self.per_pod - count) * self.whole_count_by_pod.len() + pod) as u32
+    }
 }
 
 /// Tracks free GPU slots and schedulability for every node.
@@ -85,25 +97,24 @@ impl ResourcePool {
     /// Recomputes the derived index from the node state; needed only after
     /// construction or deserialization.
     ///
-    /// One pass over the nodes, pod by pod, fills the buckets and counters;
-    /// the packing order is then collected once from the final per-pod
-    /// counts. The result equals filing every node through `index_insert`,
-    /// without re-filing its pod in `pods_by_fullness` once per node.
+    /// One pass over the nodes, pod by pod, fills the buckets and counters,
+    /// and files each pod in the packing order once, at its final count.
+    /// The result equals filing every node through `index_insert`, without
+    /// re-filing its pod in `pods_by_fullness` once per node.
     pub fn rebuild_index(&mut self) {
-        use std::cmp::Reverse;
         let n = self.free_slots.len();
-        let num_pods = match n {
-            0 => 0,
-            _ => self.topology.pod_of(NodeId::new(n as u32 - 1)).index() as usize + 1,
-        };
+        let num_pods = self.topology.num_pods() as usize;
+        let per_pod = self.topology.nodes_per_pod() as usize;
         let mut index = PoolIndex {
             free_gpus: 0,
             by_free: std::array::from_fn(|_| HierBitSet::new(n)),
             whole_count_by_pod: vec![0; num_pods],
             whole_total: 0,
-            pods_by_fullness: BTreeSet::new(),
+            per_pod,
+            pods_by_fullness: HierBitSet::new(per_pod * num_pods),
         };
-        for (pod, whole) in index.whole_count_by_pod.iter_mut().enumerate() {
+        for pod in 0..num_pods {
+            let mut whole = 0;
             for i in self.topology.pod_range(PodId::new(pod as u32)) {
                 let i = i as usize;
                 if !self.available[i] {
@@ -114,17 +125,15 @@ impl ResourcePool {
                 if free > 0 {
                     index.by_free[free as usize].insert(i as u32);
                 }
-                *whole += (free as usize == GPUS_PER_NODE) as usize;
+                whole += (free as usize == GPUS_PER_NODE) as usize;
+            }
+            index.whole_count_by_pod[pod] = whole;
+            index.whole_total += whole;
+            if whole > 0 {
+                let key = index.fullness_key(pod, whole);
+                index.pods_by_fullness.insert(key);
             }
         }
-        index.whole_total = index.whole_count_by_pod.iter().sum();
-        index.pods_by_fullness = index
-            .whole_count_by_pod
-            .iter()
-            .enumerate()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(pod, &count)| (Reverse(count), pod as u32))
-            .collect();
         self.index = index;
     }
 
@@ -161,18 +170,15 @@ impl ResourcePool {
     }
 
     /// Moves pod `pod` from the `old`- to the `new`-count position in the
-    /// packing order (zero counts are simply absent).
+    /// packing order (zero counts are simply absent): two bit flips.
     fn refile_pod(&mut self, pod: usize, old: usize, new: usize) {
-        use std::cmp::Reverse;
         if old > 0 {
-            self.index
-                .pods_by_fullness
-                .remove(&(Reverse(old), pod as u32));
+            let key = self.index.fullness_key(pod, old);
+            self.index.pods_by_fullness.remove(key);
         }
         if new > 0 {
-            self.index
-                .pods_by_fullness
-                .insert((Reverse(new), pod as u32));
+            let key = self.index.fullness_key(pod, new);
+            self.index.pods_by_fullness.insert(key);
         }
     }
 
@@ -309,11 +315,12 @@ impl ResourcePool {
         if self.index.whole_total < needed {
             return None;
         }
+        let num_pods = self.index.whole_count_by_pod.len() as u32;
         let mut chosen = Vec::with_capacity(needed);
-        for &(_, pod) in &self.index.pods_by_fullness {
+        for key in self.index.pods_by_fullness.iter() {
             // A pod's fully-free nodes are the whole-node bucket sliced by
             // the pod's contiguous id range.
-            let range = self.topology.pod_range(PodId::new(pod));
+            let range = self.topology.pod_range(PodId::new(key % num_pods));
             for idx in self.index.by_free[GPUS_PER_NODE].iter_range(range.start, range.end) {
                 chosen.push(NodeId::new(idx));
                 if chosen.len() == needed {
@@ -442,6 +449,39 @@ mod tests {
 
     fn pool(nodes: u32) -> ResourcePool {
         ResourcePool::new(Topology::new(&ClusterSpec::new("t", nodes)))
+    }
+
+    /// The packing order as `(count, pod)` pairs, decoded from the
+    /// bitset keys.
+    fn packing_order(p: &ResourcePool) -> Vec<(usize, u32)> {
+        let num_pods = p.index.whole_count_by_pod.len();
+        p.index
+            .pods_by_fullness
+            .iter()
+            .map(|key| {
+                let key = key as usize;
+                (p.index.per_pod - key / num_pods, (key % num_pods) as u32)
+            })
+            .collect()
+    }
+
+    /// The packing order the pool kept in a B-tree before it was a
+    /// bitset, rebuilt from the per-pod counts.
+    fn btree_packing_order(p: &ResourcePool) -> Vec<(usize, u32)> {
+        use std::cmp::Reverse;
+        use std::collections::BTreeSet;
+        let order: BTreeSet<(Reverse<usize>, u32)> = p
+            .index
+            .whole_count_by_pod
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(pod, &count)| (Reverse(count), pod as u32))
+            .collect();
+        order
+            .into_iter()
+            .map(|(Reverse(c), pod)| (c, pod))
+            .collect()
     }
 
     fn spec(gpus: u32) -> JobSpec {
@@ -629,7 +669,7 @@ mod tests {
             let mut rebuilt = p.clone();
             rebuilt.rebuild_index();
             assert_eq!(rebuilt.index, p.index, "step {step}");
-            let order = &p.index.pods_by_fullness;
+            let order = packing_order(&p);
             if order.len() >= 3 && order.first().map(|e| e.0) != order.last().map(|e| e.0) {
                 cross_pod_orders += 1;
             }
@@ -638,6 +678,53 @@ mod tests {
             cross_pod_orders > 100,
             "only {cross_pod_orders} steps ordered 3+ unequal pods"
         );
+    }
+
+    #[test]
+    fn packing_order_matches_btree_oracle_through_churn() {
+        // 40 nodes are two full pods; 50 and 70 end in a partial pod of 10.
+        for nodes in [40u32, 50, 70] {
+            let mut p = pool(nodes);
+            let mut live: Vec<(Vec<NodeId>, JobSpec)> = Vec::new();
+            let mut x: u64 = 0xa409_3822_299f_31d0 ^ nodes as u64;
+            for step in 0..600 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match x % 5 {
+                    0 | 1 => {
+                        let s = spec(1 + (x >> 8) as u32 % (8 * 25));
+                        if let Some(nodes) = p.try_allocate(&s) {
+                            p.commit(&nodes, &s);
+                            live.push((nodes, s));
+                        }
+                    }
+                    2 | 3 => {
+                        if !live.is_empty() {
+                            let (nodes, s) = live.swap_remove((x >> 8) as usize % live.len());
+                            p.release(&nodes, &s);
+                        }
+                    }
+                    _ => {
+                        let node = NodeId::new((x >> 8) as u32 % nodes);
+                        let avail = p.is_available(node);
+                        p.set_available(node, !avail);
+                    }
+                }
+                assert_eq!(
+                    packing_order(&p),
+                    btree_packing_order(&p),
+                    "{nodes} nodes, step {step}"
+                );
+                for needed in [1usize, 2, 5, 11, 21, 30] {
+                    assert_eq!(
+                        p.pack_whole_nodes(needed),
+                        p.pack_whole_nodes_naive(needed),
+                        "{nodes} nodes, step {step}, needed {needed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

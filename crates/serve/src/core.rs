@@ -97,6 +97,9 @@ pub struct ServiceState {
     /// Sealed snapshots that existed on disk but failed to load when a
     /// read asked for them.
     corrupt_reads: AtomicU64,
+    /// Requests whose handler panicked; the socket layer answered each
+    /// with `500 internal_error`.
+    handler_panics: AtomicU64,
 }
 
 impl ServiceState {
@@ -111,6 +114,7 @@ impl ServiceState {
             hub: EventHub::new(config.sse_buffer),
             requests: AtomicU64::new(0),
             corrupt_reads: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
             config,
         })
     }
@@ -237,6 +241,12 @@ impl ServiceState {
         self.requests.load(Ordering::Relaxed)
     }
 
+    /// The counter the socket layer bumps when [`Self::handle`] panics,
+    /// served as `/healthz` `handler_panics`.
+    pub(crate) fn handler_panics(&self) -> &AtomicU64 {
+        &self.handler_panics
+    }
+
     /// Routes one parsed request. Pure with respect to the connection:
     /// no socket I/O happens here.
     pub fn handle(&self, req: &Request) -> Action {
@@ -286,7 +296,8 @@ impl ServiceState {
 
     /// The `/healthz` body: queue depths, artifact-cache counters
     /// (including failed publishes, and corruption whether the runner or
-    /// an analysis read found it), LRU counters, SSE hub counters.
+    /// an analysis read found it), LRU counters, SSE hub counters, and
+    /// requests handled and panicked.
     fn healthz_json(&self) -> String {
         let queue = self.jobs.counts();
         let artifacts = self.runner.stats();
@@ -336,6 +347,10 @@ impl ServiceState {
                     .finish(),
             )
             .field("requests", &self.requests_handled().to_string())
+            .field(
+                "handler_panics",
+                &self.handler_panics.load(Ordering::Relaxed).to_string(),
+            )
             .finish()
     }
 
@@ -657,6 +672,7 @@ mod tests {
         assert!(body.contains(
             "\"artifact_cache\":{\"hits\":0,\"misses\":0,\"corrupt\":0,\"publish_failed\":0}"
         ));
+        assert!(body.ends_with(",\"handler_panics\":0}"), "{body}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

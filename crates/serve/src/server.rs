@@ -7,18 +7,21 @@
 //! from a [`Response`] or a pre-rendered SSE frame. The pool bounds
 //! concurrent request parsing; streaming connections move off the pool so
 //! a slow SSE consumer can never starve request handling (its buffer is
-//! bounded by the hub instead — see [`crate::sse`]).
+//! bounded by the hub instead — see [`crate::sse`]). A handler that
+//! panics costs its request a typed `500 internal_error`, never the
+//! worker.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::core::{Action, ServiceConfig, ServiceState};
-use crate::http::{parse_request, Response};
+use crate::http::{parse_request, Request, Response};
 use crate::sse::Subscription;
 
 /// How long a worker waits for a slow client to send its request.
@@ -107,7 +110,14 @@ impl Server {
                     .name(format!("rsc-serve-http-{i}"))
                     .spawn(move || {
                         while let Some(conn) = shared.conns.pop() {
-                            handle_connection(&shared, conn);
+                            let state = &shared.state;
+                            if handle_connection(
+                                conn,
+                                |req| state.handle(req),
+                                state.handler_panics(),
+                            ) {
+                                trigger_shutdown(&shared);
+                            }
                         }
                     })
                     .expect("spawn http worker"),
@@ -170,15 +180,20 @@ fn trigger_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.addr);
 }
 
-/// Serves one connection: parse, route, respond — or hand off to an SSE
-/// streamer thread. All failure paths just close the socket; a client
-/// abandoning its request cannot take a worker with it past the read
-/// timeout.
-fn handle_connection(shared: &Shared, conn: TcpStream) {
+/// Serves one connection: parse, route through `handle`, respond — or
+/// hand off to an SSE streamer thread. Returns whether the response asked
+/// for a service shutdown (already written by then). All failure paths
+/// just close the socket; a client abandoning its request cannot take a
+/// worker with it past the read timeout.
+fn handle_connection(
+    conn: TcpStream,
+    handle: impl FnOnce(&Request) -> Action,
+    panics: &AtomicU64,
+) -> bool {
     let _ = conn.set_read_timeout(Some(READ_TIMEOUT));
     let reader = match conn.try_clone() {
         Ok(clone) => clone,
-        Err(_) => return,
+        Err(_) => return false,
     };
     let mut writer = conn;
     match parse_request(&mut BufReader::new(reader)) {
@@ -186,16 +201,36 @@ fn handle_connection(shared: &Shared, conn: TcpStream) {
             let _ = Response::from_request_error(&err).write_to(&mut writer);
         }
         Ok(None) => {}
-        Ok(Some(req)) => match shared.state.handle(&req) {
+        Ok(Some(req)) => match dispatch(&req, handle, panics) {
             Action::Respond(resp) => {
                 let _ = resp.write_to(&mut writer);
             }
             Action::Shutdown(resp) => {
                 let _ = resp.write_to(&mut writer);
-                trigger_shutdown(shared);
+                return true;
             }
             Action::Stream(sub) => spawn_streamer(writer, sub),
         },
+    }
+    false
+}
+
+/// Runs `handle` on one request. A panic inside it unwinds no further: it
+/// is counted in `panics` and answered `500 internal_error`, so the worker
+/// that ran it goes on to the next connection. Shared state the handler
+/// left mid-update stays behind its locks; a poisoned lock panics the next
+/// handler that takes it, which is answered the same way.
+fn dispatch(req: &Request, handle: impl FnOnce(&Request) -> Action, panics: &AtomicU64) -> Action {
+    match panic::catch_unwind(AssertUnwindSafe(|| handle(req))) {
+        Ok(action) => action,
+        Err(_) => {
+            panics.fetch_add(1, Ordering::Relaxed);
+            Action::Respond(Response::error(
+                500,
+                "internal_error",
+                "the request handler panicked",
+            ))
+        }
     }
 }
 
@@ -233,4 +268,44 @@ fn spawn_streamer(mut conn: TcpStream, sub: Subscription) {
                 }
             }
         });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    #[test]
+    fn a_panicking_handler_is_a_typed_500_and_the_only_worker_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("local addr");
+        let panics = Arc::new(AtomicU64::new(0));
+        let worker_panics = Arc::clone(&panics);
+        // One worker serving connections in turn, as a pool of one does.
+        let worker = std::thread::spawn(move || {
+            for _ in 0..3 {
+                let (conn, _) = listener.accept().expect("accept");
+                let handle = |req: &Request| match req.path.as_str() {
+                    "/boom" => panic!("handler panic under test"),
+                    _ => Action::Respond(Response::json(200, "{\"ok\":true}".to_string())),
+                };
+                assert!(!handle_connection(conn, handle, &worker_panics));
+            }
+        });
+
+        let ok = client::get(addr, "/ok").expect("first request");
+        assert_eq!((ok.status, ok.text()), (200, "{\"ok\":true}".to_string()));
+        let boom = client::get(addr, "/boom").expect("a panicking handler still answers");
+        assert_eq!(boom.status, 500);
+        assert!(
+            boom.text().contains("\"internal_error\""),
+            "{}",
+            boom.text()
+        );
+        let after = client::get(addr, "/ok").expect("the worker survived the panic");
+        assert_eq!(after.status, 200);
+
+        worker.join().expect("the worker thread never unwound");
+        assert_eq!(panics.load(Ordering::Relaxed), 1);
+    }
 }
