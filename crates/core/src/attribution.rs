@@ -15,7 +15,7 @@ use rsc_failure::taxonomy::FailureSymptom;
 use rsc_health::check::CheckKind;
 use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::JobStatus;
-use rsc_sim_core::time::SimDuration;
+use rsc_sim_core::time::{SimDuration, SimTime};
 use rsc_telemetry::view::TelemetryView;
 
 /// Attribution window parameters (paper defaults: 10 min before the end of
@@ -72,6 +72,13 @@ pub fn is_failure_status(status: JobStatus) -> bool {
     )
 }
 
+/// Whether an attributed record is an *infrastructure* failure:
+/// NODE_FAIL and REQUEUED always, FAILED only with a health-check cause.
+pub(crate) fn is_infra_failure(status: JobStatus, attribution: &Attribution) -> bool {
+    matches!(status, JobStatus::NodeFail | JobStatus::Requeued)
+        || (status == JobStatus::Failed && attribution.is_attributed())
+}
+
 /// Ranking used to pick the primary cause when several checks fire:
 /// specific hardware checks dominate generic/secondary ones.
 fn check_specificity(check: CheckKind) -> u8 {
@@ -91,12 +98,29 @@ fn check_specificity(check: CheckKind) -> u8 {
     }
 }
 
+/// The cause of the most specific fired check (the last of equally
+/// specific ones), or `None` when no check fired.
+pub fn primary_cause(checks: &[CheckKind]) -> Option<FailureSymptom> {
+    checks
+        .iter()
+        .max_by_key(|&&c| check_specificity(c))
+        .map(|&c| c.symptom())
+}
+
 /// Attributes every failure-status record in a sealed telemetry view.
 ///
 /// Returns one [`Attribution`] per record with a failure status
-/// (FAILED / NODE_FAIL / REQUEUED). Pure user failures come back
-/// unattributed, as they should.
+/// (FAILED / NODE_FAIL / REQUEUED), in record order. Pure user failures
+/// come back unattributed, as they should.
+///
+/// Most windows hold no health event on any node, so one binary search
+/// over every event time, sorted once per call, decides whether a record
+/// needs its per-node lookups at all. A window that holds no event
+/// cluster-wide holds none on the job's nodes, so the skip changes no
+/// result.
 pub fn attribute_failures(view: &TelemetryView, config: &AttributionConfig) -> Vec<Attribution> {
+    let mut times: Vec<SimTime> = view.health_events().iter().map(|e| e.at).collect();
+    times.sort_unstable();
     let mut out = Vec::new();
     for (index, record) in view.jobs().iter().enumerate() {
         if !is_failure_status(record.status) {
@@ -105,20 +129,19 @@ pub fn attribute_failures(view: &TelemetryView, config: &AttributionConfig) -> V
         let from = record.ended_at - config.window_before;
         let to = record.ended_at + config.window_after;
         let mut checks: Vec<CheckKind> = Vec::new();
-        for &node in &record.nodes {
-            for event in view.health_events_for_node(node, from, to) {
-                if !checks.contains(&event.check) {
-                    checks.push(event.check);
+        let first = times.partition_point(|&t| t < from);
+        if times.get(first).is_some_and(|&t| t <= to) {
+            for &node in &record.nodes {
+                for event in view.health_events_for_node(node, from, to) {
+                    if !checks.contains(&event.check) {
+                        checks.push(event.check);
+                    }
                 }
             }
         }
-        let cause = checks
-            .iter()
-            .max_by_key(|&&c| check_specificity(c))
-            .map(|&c| c.symptom());
         out.push(Attribution {
             record_index: index,
-            cause,
+            cause: primary_cause(&checks),
             checks,
         });
     }
@@ -145,13 +168,7 @@ pub fn cause_rates(view: &TelemetryView, config: &AttributionConfig) -> CauseRat
     let total_gpu_hours: f64 = view.jobs().iter().map(|r| r.gpu_time().as_hours()).sum();
     let mut counts: HashMap<Option<FailureSymptom>, u64> = HashMap::new();
     for a in &attributions {
-        let status = view.jobs()[a.record_index].status;
-        let is_hw = match status {
-            JobStatus::NodeFail | JobStatus::Requeued => true,
-            JobStatus::Failed => a.is_attributed(),
-            _ => false,
-        };
-        if is_hw {
+        if is_infra_failure(view.jobs()[a.record_index].status, a) {
             *counts.entry(a.cause).or_insert(0) += 1;
         }
     }
@@ -221,10 +238,11 @@ pub fn completed_jobs_seeing_checks(view: &TelemetryView) -> f64 {
         }
         let Some(start) = r.started_at else { continue };
         total += 1;
-        let hit = r
-            .nodes
-            .iter()
-            .any(|&n| !view.health_events_for_node(n, start, r.ended_at).is_empty());
+        let hit = r.nodes.iter().any(|&n| {
+            view.health_events_for_node(n, start, r.ended_at)
+                .next()
+                .is_some()
+        });
         if hit {
             observed += 1;
         }
@@ -242,7 +260,6 @@ mod tests {
     use rsc_failure::modes::Severity;
     use rsc_health::monitor::HealthEvent;
     use rsc_sched::job::QosClass;
-    use rsc_sim_core::time::SimTime;
     use rsc_telemetry::TelemetryStore;
 
     fn record(id: u64, status: JobStatus, node: u32, end_hours: u64) -> JobRecord {

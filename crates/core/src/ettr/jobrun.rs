@@ -9,8 +9,10 @@
 
 use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
-use rsc_sim_core::time::{SimDuration, SimTime};
+use rsc_sim_core::time::SimDuration;
 use rsc_telemetry::view::TelemetryView;
+
+use crate::mttf::size_bucket;
 
 /// A reconstructed job run.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,53 +57,107 @@ impl JobRun {
     }
 }
 
-/// The run a record belongs to: its explicit run id, else its job id.
-fn group_key(r: &JobRecord) -> (u8, u64) {
+/// The run a record belongs to, packed in 65 bits: explicit run ids
+/// first, by id, then job ids.
+fn group_key(r: &JobRecord) -> u128 {
     match r.run {
-        Some(run) => (0, run.raw()),
-        None => (1, r.job.raw()),
+        Some(run) => u128::from(run.raw()),
+        None => 1 << 64 | u128::from(r.job.raw()),
     }
+}
+
+/// Fig. 9's run order as one ascending key: largest first, then most
+/// scheduled time, then most attempts.
+fn size_first_key(run: &JobRun) -> u128 {
+    u128::from(!run.gpus) << 96
+        | u128::from(!run.scheduled.as_secs()) << 32
+        | u128::from(!run.attempts)
+}
+
+/// Stable LSD radix sort by a 128-bit key: one counting pass per key
+/// byte, skipping the bytes every item shares. Equal keys keep their
+/// input order.
+fn radix_sort_by_key<T: Clone>(items: Vec<T>, key: impl Fn(&T) -> u128) -> Vec<T> {
+    let mut counts = [[0usize; 256]; 16];
+    for item in &items {
+        let k = key(item);
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[usize::from((k >> (8 * byte)) as u8)] += 1;
+        }
+    }
+    let mut src = items;
+    let mut dst = src.clone();
+    for (byte, count) in counts.iter().enumerate() {
+        if count.contains(&src.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut start = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = start;
+            start += c;
+        }
+        for item in &src {
+            let digit = usize::from((key(item) >> (8 * byte)) as u8);
+            dst[next[digit]] = item.clone();
+            next[digit] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
 }
 
 /// Groups a sealed view's records into job runs.
 ///
 /// Records sharing an explicit run id form one run; records without one
-/// group by job id (requeues of the same id are one logical task).
+/// group by job id (requeues of the same id are one logical task). A
+/// run's last record — the one whose QoS and status it reports — is its
+/// greatest `(enqueued_at, attempt)`, the later record winning a tie.
+///
+/// Runs come largest first, then by scheduled time, then by attempts;
+/// runs equal in all three keep group order (run ids ascending, then job
+/// ids ascending), as a stable sort of the groups by those three fields
+/// would leave them.
 pub fn reconstruct_job_runs(view: &TelemetryView) -> Vec<JobRun> {
     let jobs = view.jobs();
-    // One sort puts each group's records together, groups in key order
-    // and records by (enqueued_at, attempt) with ties in record order —
-    // the order a keyed map of stably sorted groups iterates in, so the
-    // result (and the tie order of the final sort) is deterministic.
-    let mut order: Vec<((u8, u64), SimTime, u32, usize)> = jobs
+    // (group key, record index) pairs, stably sorted by group key: each
+    // group's records together, groups in key order, records in record
+    // order.
+    let order: Vec<u128> = jobs
         .iter()
         .enumerate()
-        .map(|(i, r)| (group_key(r), r.enqueued_at, r.attempt, i))
+        .map(|(i, r)| {
+            let i = u32::try_from(i).expect("fewer than 2^32 job records");
+            group_key(r) << 32 | u128::from(i)
+        })
         .collect();
-    order.sort_unstable();
-    let mut runs: Vec<JobRun> = order
-        .chunk_by(|a, b| a.0 == b.0)
+    let order = radix_sort_by_key(order, |&k| k >> 32);
+    let runs: Vec<JobRun> = order
+        .chunk_by(|a, b| a >> 32 == b >> 32)
         .map(|group| {
-            let records = || group.iter().map(|&(_, _, _, i)| &jobs[i]);
-            let last = &jobs[group[group.len() - 1].3];
+            let record = |key: u128| &jobs[key as u32 as usize];
+            let mut last = record(group[0]);
+            let (mut gpus, mut scheduled, mut queued) = (0, SimDuration::ZERO, SimDuration::ZERO);
+            for &key in group {
+                let r = record(key);
+                gpus = gpus.max(r.gpus);
+                scheduled += r.runtime();
+                queued += r.queue_wait();
+                if (r.enqueued_at, r.attempt) >= (last.enqueued_at, last.attempt) {
+                    last = r;
+                }
+            }
             JobRun {
-                gpus: records().map(|r| r.gpus).max().unwrap_or(0),
+                gpus,
                 qos: last.qos,
                 attempts: group.len() as u32,
-                scheduled: records().map(|r| r.runtime()).sum(),
-                queued: records().map(|r| r.queue_wait()).sum(),
+                scheduled,
+                queued,
                 final_status: last.status,
             }
         })
         .collect();
-    // Deterministic order: largest first, then by scheduled time.
-    runs.sort_by(|a, b| {
-        b.gpus
-            .cmp(&a.gpus)
-            .then(b.scheduled.cmp(&a.scheduled))
-            .then(b.attempts.cmp(&a.attempts))
-    });
-    runs
+    radix_sort_by_key(runs, size_first_key)
 }
 
 /// Fig. 9 selection: long (≥ `min_scheduled`) runs at the highest priority.
@@ -126,7 +182,9 @@ pub struct EttrBucket {
     pub ci90: (f64, f64),
 }
 
-/// Buckets runs by GPU size (powers of two) and summarizes measured ETTR.
+/// Buckets runs by GPU size ([`size_bucket`]s, at least 8) and summarizes
+/// measured ETTR. The top bucket, [`TOP_SIZE_BUCKET`](crate::mttf::TOP_SIZE_BUCKET),
+/// takes every run above 2^31 GPUs, and its `gpus_hi` saturates at `u32::MAX`.
 pub fn ettr_by_size_bucket(
     runs: &[&JobRun],
     checkpoint_interval: SimDuration,
@@ -135,7 +193,7 @@ pub fn ettr_by_size_bucket(
     use rsc_sim_core::stats::StreamingStats;
     let mut buckets: std::collections::BTreeMap<u32, StreamingStats> = Default::default();
     for run in runs {
-        let lo = run.gpus.max(1).next_power_of_two().max(8);
+        let lo = size_bucket(run.gpus).max(8);
         buckets
             .entry(lo)
             .or_default()
@@ -145,7 +203,7 @@ pub fn ettr_by_size_bucket(
         .into_iter()
         .map(|(lo, stats)| EttrBucket {
             gpus_lo: lo,
-            gpus_hi: lo * 2,
+            gpus_hi: lo.saturating_mul(2),
             runs: stats.count() as usize,
             mean_ettr: stats.mean(),
             ci90: stats.mean_confidence_interval(0.90),

@@ -6,13 +6,12 @@
 //! hourly, so an interruption wastes at most 30 minutes of work:
 //! `lost = min(runtime, 30 min) × GPUs`.
 
-use std::collections::BTreeMap;
-
 use rsc_sched::job::JobStatus;
 use rsc_sim_core::time::SimDuration;
 use rsc_telemetry::view::TelemetryView;
 
-use crate::attribution::{attribute_failures, AttributionConfig};
+use crate::attribution::{attribute_failures, is_infra_failure, AttributionConfig};
+use crate::mttf::size_bucket;
 
 /// Lost goodput for one job-size bucket, in GPU-hours.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,67 +58,50 @@ fn lost_gpu_hours(runtime: SimDuration, gpus: u32) -> f64 {
     runtime.min(SimDuration::from_mins(30)).as_hours() * gpus as f64
 }
 
+/// The point of `gpus`'s [`size_bucket`], created empty on first use.
+fn point(buckets: &mut [Option<GoodputLossPoint>; 32], gpus: u32) -> &mut GoodputLossPoint {
+    let b = size_bucket(gpus);
+    buckets[b.trailing_zeros() as usize].get_or_insert(GoodputLossPoint {
+        gpus: b,
+        failure_loss_gpu_hours: 0.0,
+        preemption_loss_gpu_hours: 0.0,
+        fallback_loss_gpu_hours: 0.0,
+    })
+}
+
 /// Computes Fig. 8: lost goodput by job size from attributed failures and
 /// instigated preemptions.
+///
+/// Buckets are [`size_bucket`]s of the GPU count, ascending; each of a
+/// bucket's three losses folds its stream in stream order.
 pub fn goodput_loss(view: &TelemetryView, config: &AttributionConfig) -> GoodputLoss {
+    let mut buckets: [Option<GoodputLossPoint>; 32] = [None; 32];
+
     // First-order: NODE_FAIL / REQUEUED always; FAILED only when attributed.
-    let attributions = attribute_failures(view, config);
-    let mut first_order: Vec<(u32, f64)> = Vec::new();
-    for a in &attributions {
+    for a in &attribute_failures(view, config) {
         let r = &view.jobs()[a.record_index];
-        let is_hw = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued)
-            || (r.status == JobStatus::Failed && a.is_attributed());
-        if is_hw {
-            first_order.push((r.gpus, lost_gpu_hours(r.runtime(), r.gpus)));
+        if is_infra_failure(r.status, a) {
+            point(&mut buckets, r.gpus).failure_loss_gpu_hours +=
+                lost_gpu_hours(r.runtime(), r.gpus);
         }
     }
 
     // Second-order: preempted records with a recorded instigator.
-    let second_order: Vec<(u32, f64)> = view
-        .jobs()
-        .iter()
-        .filter(|r| r.status == JobStatus::Preempted && r.instigator.is_some())
-        .map(|r| (r.gpus, lost_gpu_hours(r.runtime(), r.gpus)))
-        .collect();
-
-    let mut buckets: BTreeMap<u32, GoodputLossPoint> = BTreeMap::new();
-    let bucket_of = |gpus: u32| gpus.max(1).next_power_of_two();
-    for (gpus, loss) in first_order {
-        let b = bucket_of(gpus);
-        let e = buckets.entry(b).or_insert(GoodputLossPoint {
-            gpus: b,
-            failure_loss_gpu_hours: 0.0,
-            preemption_loss_gpu_hours: 0.0,
-            fallback_loss_gpu_hours: 0.0,
-        });
-        e.failure_loss_gpu_hours += loss;
-    }
-    for (gpus, loss) in second_order {
-        let b = bucket_of(gpus);
-        let e = buckets.entry(b).or_insert(GoodputLossPoint {
-            gpus: b,
-            failure_loss_gpu_hours: 0.0,
-            preemption_loss_gpu_hours: 0.0,
-            fallback_loss_gpu_hours: 0.0,
-        });
-        e.preemption_loss_gpu_hours += loss;
+    for r in view.jobs() {
+        if r.status == JobStatus::Preempted && r.instigator.is_some() {
+            point(&mut buckets, r.gpus).preemption_loss_gpu_hours +=
+                lost_gpu_hours(r.runtime(), r.gpus);
+        }
     }
 
     // Third stream: work discarded when a restart's newest checkpoints
     // were unreadable. Priced directly from the fallback events — the lost
     // work was productive time already paid for once.
     for e in view.ckpt_fallbacks() {
-        let b = bucket_of(e.gpus);
-        let point = buckets.entry(b).or_insert(GoodputLossPoint {
-            gpus: b,
-            failure_loss_gpu_hours: 0.0,
-            preemption_loss_gpu_hours: 0.0,
-            fallback_loss_gpu_hours: 0.0,
-        });
-        point.fallback_loss_gpu_hours += e.lost.as_hours() * e.gpus as f64;
+        point(&mut buckets, e.gpus).fallback_loss_gpu_hours += e.lost.as_hours() * e.gpus as f64;
     }
 
-    let by_size: Vec<GoodputLossPoint> = buckets.into_values().collect();
+    let by_size: Vec<GoodputLossPoint> = buckets.into_iter().flatten().collect();
     let total_failure_loss = by_size.iter().map(|p| p.failure_loss_gpu_hours).sum();
     let total_preemption_loss = by_size.iter().map(|p| p.preemption_loss_gpu_hours).sum();
     let total_fallback_loss = by_size.iter().map(|p| p.fallback_loss_gpu_hours).sum();

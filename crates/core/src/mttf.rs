@@ -9,7 +9,9 @@ use rsc_sim_core::special::gamma_quantile;
 use rsc_sim_core::time::SimDuration;
 use rsc_telemetry::view::TelemetryView;
 
-use crate::attribution::{attribute_failures, AttributionConfig};
+use crate::attribution::{
+    attribute_failures, is_failure_status, is_infra_failure, AttributionConfig,
+};
 use rsc_sched::job::JobStatus;
 
 /// Which job endings count as failures for MTTF purposes.
@@ -40,56 +42,66 @@ pub struct MttfPoint {
 }
 
 /// Rounds a GPU count up to the next multiple of 8 (whole servers), as the
-/// paper does for Fig. 7.
+/// paper does for Fig. 7. The seven counts above the largest multiple of
+/// 8 that fits a `u32` saturate to `u32::MAX`.
 pub fn round_up_to_server(gpus: u32) -> u32 {
-    gpus.div_ceil(8) * 8
+    gpus.div_ceil(8).saturating_mul(8)
 }
 
-/// Buckets job sizes into powers of two of servers: 8, 16, 32, ... GPUs.
+/// The largest size bucket: every size above 2^31 lands in it.
+pub const TOP_SIZE_BUCKET: u32 = 1 << 31;
+
+/// The power-of-two bucket of a size: the smallest power of two at or
+/// above `n` (1 for 0), and [`TOP_SIZE_BUCKET`] for every `n` above it.
+///
+/// The one rule behind Fig. 7's [`power_of_two_bucket`], Fig. 8's
+/// goodput-loss buckets and Fig. 9's ETTR buckets, total over `u32`: a
+/// bucket is always a power of two, and a bucket's log2 indexes a
+/// 32-slot array.
+pub fn size_bucket(n: u32) -> u32 {
+    n.checked_next_power_of_two().unwrap_or(TOP_SIZE_BUCKET)
+}
+
+/// Buckets job sizes into powers of two of servers: 8, 16, 32, ... GPUs,
+/// up to [`TOP_SIZE_BUCKET`].
 pub fn power_of_two_bucket(gpus: u32) -> u32 {
-    let servers = round_up_to_server(gpus) / 8;
-    8 * servers.next_power_of_two()
+    size_bucket(round_up_to_server(gpus)).max(8)
 }
 
-/// Computes empirical MTTF per job-size bucket.
+/// Computes empirical MTTF per job-size bucket, ascending by size.
 ///
 /// Exposure is each record's runtime; a record counts as a failure per the
-/// scope. Buckets are powers of two in servers.
+/// scope. Buckets are powers of two in servers. Each bucket folds its
+/// records' hours in record order.
 pub fn mttf_by_job_size(
     view: &TelemetryView,
     scope: FailureScope,
     config: &AttributionConfig,
 ) -> Vec<MttfPoint> {
-    // Precompute which record indices are infra failures when needed.
-    let infra: std::collections::HashSet<usize> = match scope {
-        FailureScope::AllFailures => std::collections::HashSet::new(),
-        FailureScope::InfraOnly => attribute_failures(view, config)
-            .into_iter()
-            .filter(|a| {
-                let status = view.jobs()[a.record_index].status;
-                matches!(status, JobStatus::NodeFail | JobStatus::Requeued)
-                    || (status == JobStatus::Failed && a.is_attributed())
-            })
-            .map(|a| a.record_index)
-            .collect(),
+    let jobs = view.jobs();
+    // Attributions come in record order, so the infra failures merge
+    // with the record walk below.
+    let attributions = match scope {
+        FailureScope::AllFailures => Vec::new(),
+        FailureScope::InfraOnly => attribute_failures(view, config),
     };
+    let mut infra = attributions
+        .iter()
+        .filter(|a| is_infra_failure(jobs[a.record_index].status, a))
+        .map(|a| a.record_index)
+        .peekable();
 
-    let mut buckets: std::collections::BTreeMap<u32, (u64, f64)> =
-        std::collections::BTreeMap::new();
-    for (i, r) in view.jobs().iter().enumerate() {
+    let mut buckets = [(0u64, 0.0f64); 32];
+    for (i, r) in jobs.iter().enumerate() {
+        let failed = match scope {
+            FailureScope::AllFailures => is_failure_status(r.status),
+            FailureScope::InfraOnly => infra.next_if_eq(&i).is_some(),
+        };
         if r.started_at.is_none() {
             continue;
         }
-        let bucket = power_of_two_bucket(r.gpus);
-        let entry = buckets.entry(bucket).or_insert((0, 0.0));
+        let entry = &mut buckets[power_of_two_bucket(r.gpus).trailing_zeros() as usize];
         entry.1 += r.runtime().as_hours();
-        let failed = match scope {
-            FailureScope::AllFailures => matches!(
-                r.status,
-                JobStatus::Failed | JobStatus::NodeFail | JobStatus::Requeued
-            ),
-            FailureScope::InfraOnly => infra.contains(&i),
-        };
         if failed {
             entry.0 += 1;
         }
@@ -97,8 +109,9 @@ pub fn mttf_by_job_size(
 
     buckets
         .into_iter()
+        .enumerate()
         .filter(|(_, (_, exposure))| *exposure > 0.0)
-        .map(|(gpus, (failures, exposure_hours))| {
+        .map(|(log2, (failures, exposure_hours))| {
             let mttf_hours = if failures > 0 {
                 exposure_hours / failures as f64
             } else {
@@ -106,7 +119,7 @@ pub fn mttf_by_job_size(
             };
             let ci90 = gamma_mttf_ci(failures, exposure_hours, 0.90);
             MttfPoint {
-                gpus,
+                gpus: 1 << log2,
                 failures,
                 exposure_hours,
                 mttf_hours,
@@ -143,12 +156,7 @@ pub fn estimate_node_failure_rate(
     let mut failures = 0u64;
     for a in &attributions {
         let r = &view.jobs()[a.record_index];
-        if r.gpus <= min_gpus {
-            continue;
-        }
-        let is_infra = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued)
-            || (r.status == JobStatus::Failed && a.is_attributed());
-        if is_infra {
+        if r.gpus > min_gpus && is_infra_failure(r.status, a) {
             failures += 1;
         }
     }
@@ -201,7 +209,7 @@ impl MttfProjection {
 
     /// Projected MTTF for a job spanning `gpus` GPUs (8 per node).
     pub fn mttf(&self, gpus: u32) -> SimDuration {
-        let nodes = (round_up_to_server(gpus) / 8) as f64;
+        let nodes = gpus.div_ceil(8) as f64;
         SimDuration::from_days_f64(1.0 / (nodes * self.r_f))
     }
 

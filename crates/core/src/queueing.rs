@@ -12,10 +12,12 @@ use rsc_sched::job::QosClass;
 use rsc_sim_core::stats::StreamingStats;
 use rsc_telemetry::view::TelemetryView;
 
+use crate::mttf::size_bucket;
+
 /// Queue-wait summary for one (size bucket, QoS) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaitBucket {
-    /// Lower edge of the power-of-two GPU bucket.
+    /// The GPU count's [`size_bucket`].
     pub gpus_lo: u32,
     /// Scheduling tier.
     pub qos: QosClass,
@@ -34,7 +36,7 @@ pub fn wait_by_size_and_qos(view: &TelemetryView) -> Vec<WaitBucket> {
         if r.started_at.is_none() {
             continue;
         }
-        let bucket = r.gpus.max(1).next_power_of_two();
+        let bucket = size_bucket(r.gpus);
         let qos_key = match r.qos {
             QosClass::Low => 0u8,
             QosClass::Normal => 1,

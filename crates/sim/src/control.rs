@@ -96,17 +96,15 @@ impl CommandQueue {
             .push_back(cmd);
     }
 
-    /// Takes every pending command, in push order.
+    /// Moves every pending command onto the end of `out`, in push order.
+    /// Reusing `out` across calls makes draining an empty queue free of
+    /// allocation.
     ///
     /// # Panics
     ///
     /// Panics if the lock is poisoned.
-    pub fn drain(&self) -> Vec<ControlCommand> {
-        self.0
-            .lock()
-            .expect("command queue poisoned")
-            .drain(..)
-            .collect()
+    pub fn drain_into(&self, out: &mut Vec<ControlCommand>) {
+        out.extend(self.0.lock().expect("command queue poisoned").drain(..));
     }
 
     /// Whether any command is pending.
@@ -150,7 +148,8 @@ mod tests {
             budget_ok: false,
         });
         assert_eq!(q.len(), 2);
-        let drained = q.drain();
+        let mut drained = Vec::new();
+        q.drain_into(&mut drained);
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].verb, ControlVerb::AdaptiveRouting);
         assert!(matches!(

@@ -168,6 +168,9 @@ pub struct ClusterSim {
     /// path pays one `Option` check per loop iteration and telemetry stays
     /// byte-identical to pre-control-plane builds.
     commands: Option<CommandQueue>,
+    /// Reusable buffer for one round of drained commands, so a drain of
+    /// an empty queue clones and allocates nothing.
+    command_batch: Vec<ControlCommand>,
     /// Whether the control plane flipped fabric routing to adaptive.
     routing_adaptive: bool,
     /// Control-plane checkpoint-cadence override, applied to newly
@@ -247,6 +250,7 @@ impl ClusterSim {
             staged_detections: Vec::new(),
             events_processed: 0,
             commands: None,
+            command_batch: Vec::new(),
             routing_adaptive: false,
             ckpt_retune: None,
             release_policies: HashMap::new(),
@@ -770,18 +774,20 @@ impl ClusterSim {
     /// follow-up commands at the same instant; anything still pending
     /// after the last round waits for the next scheduling cycle.
     fn drain_control_commands(&mut self) {
-        let Some(queue) = self.commands.clone() else {
-            return;
-        };
+        let mut batch = std::mem::take(&mut self.command_batch);
         for _ in 0..4 {
-            let batch = queue.drain();
+            let Some(queue) = &self.commands else {
+                break;
+            };
+            queue.drain_into(&mut batch);
             if batch.is_empty() {
                 break;
             }
-            for cmd in batch {
+            for cmd in batch.drain(..) {
                 self.apply_control_command(cmd);
             }
         }
+        self.command_batch = batch;
     }
 
     /// Applies one control command: actuate it if its budget admitted it

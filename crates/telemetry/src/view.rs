@@ -165,22 +165,19 @@ impl TelemetryView {
     /// Health events on `node` within `[from, to]`, in time order.
     ///
     /// A binary search over the per-node index built at seal time — no
-    /// mutation, no lazy state, safe to call from many threads at once.
+    /// mutation, no lazy state, no allocation, safe to call from many
+    /// threads at once. Ask `.next().is_none()` to test for an empty
+    /// window, or `.len()` to count it.
     pub fn health_events_for_node(
         &self,
         node: NodeId,
         from: SimTime,
         to: SimTime,
-    ) -> Vec<&HealthEvent> {
-        let Some(idxs) = self.node_health_index.get(&node) else {
-            return Vec::new();
-        };
+    ) -> impl ExactSizeIterator<Item = &HealthEvent> + '_ {
+        let idxs = self.node_health_index.get(&node).map_or(&[][..], |v| v);
         let lo = idxs.partition_point(|&i| self.health_events[i].at < from);
         let hi = idxs.partition_point(|&i| self.health_events[i].at <= to);
-        idxs[lo..hi]
-            .iter()
-            .map(|&i| &self.health_events[i])
-            .collect()
+        idxs[lo..hi].iter().map(|&i| &self.health_events[i])
     }
 
     /// Total node-days of job runtime across all records (the failure-rate
@@ -281,7 +278,6 @@ mod tests {
             SimTime::from_secs(from),
             SimTime::from_secs(to),
         )
-        .into_iter()
         .copied()
         .collect()
     }
@@ -369,7 +365,8 @@ mod tests {
         let view = TelemetryStore::new("t", 4).seal();
         assert!(view
             .health_events_for_node(NodeId::new(3), SimTime::ZERO, SimTime::MAX)
-            .is_empty());
+            .next()
+            .is_none());
     }
 
     #[test]
