@@ -1,7 +1,7 @@
 //! Fig. 10: checkpoint-interval and failure-rate requirements for
 //! 100k-GPU job runs (restart overhead coupled to the interval).
 
-use rsc_core::ettr::requirements::{max_coupled_interval_mins, sweep};
+use rsc_core::ettr::requirements::max_coupled_interval_mins;
 
 fn main() {
     rsc_bench::banner(
@@ -19,7 +19,6 @@ fn main() {
     }
     println!();
     println!("{}", "-".repeat(10 + 9 * intervals.len()));
-    let points = sweep(100_000, &rates, &intervals, 1.0, 0.0, 7.0);
     let mut rows = Vec::new();
     for &r_f in &rates {
         print!("{:>10.2}", r_f * 1000.0);
@@ -43,7 +42,6 @@ fn main() {
         }
         println!();
     }
-    let _ = points; // uncoupled sweep retained for the CSV consumers below
 
     println!("\nRequired checkpoint interval (u0 = Δt_cp) for target E[ETTR]:");
     println!(

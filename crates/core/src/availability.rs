@@ -8,7 +8,7 @@
 use rsc_cluster::ids::NodeId;
 use rsc_sim_core::stats::StreamingStats;
 use rsc_sim_core::time::{SimDuration, SimTime};
-use rsc_telemetry::store::NodeEventKind;
+use rsc_telemetry::store::{NodeEvent, NodeEventKind};
 use rsc_telemetry::view::TelemetryView;
 
 /// One node's availability summary.
@@ -42,75 +42,141 @@ pub struct FleetAvailability {
 /// Computes fleet availability from a sealed view's node events.
 ///
 /// Remediation intervals still open at the horizon are charged up to the
-/// horizon.
+/// horizon. The view's node events go through one [`RemediationVisits`]
+/// fold; the 90th-percentile repair time is exact, over every closed
+/// visit.
 pub fn fleet_availability(view: &TelemetryView) -> FleetAvailability {
-    let n = view.num_nodes() as usize;
     let horizon = view.horizon();
-    let mut down_since: Vec<Option<SimTime>> = vec![None; n];
-    let mut downtime: Vec<SimDuration> = vec![SimDuration::ZERO; n];
-    let mut repairs: Vec<u32> = vec![0; n];
-    let mut repair_times: Vec<f64> = Vec::new();
-
-    for e in view.node_events() {
-        let i = e.node.as_usize();
-        match e.kind {
-            NodeEventKind::EnterRemediation => {
-                if down_since[i].is_none() {
-                    down_since[i] = Some(e.at);
-                }
-            }
-            NodeEventKind::ExitRemediation => {
-                if let Some(start) = down_since[i].take() {
-                    let d = e.at.saturating_since(start);
-                    downtime[i] += d;
-                    repairs[i] += 1;
-                    repair_times.push(d.as_hours());
-                }
-            }
-            // Drains and the fallible-remediation transitions (failed
-            // attempts, escalations, probation) all happen while the node's
-            // remediation interval is already open; quarantine simply never
-            // closes it, so the open interval is charged to the horizon
-            // below.
-            NodeEventKind::Drain
-            | NodeEventKind::RepairAttemptFailed
-            | NodeEventKind::RepairEscalated
-            | NodeEventKind::EnterProbation
-            | NodeEventKind::ProbationPassed
-            | NodeEventKind::ProbationFailed
-            | NodeEventKind::Quarantined => {}
-        }
-    }
-    // Open intervals run to the horizon.
-    for (i, open) in down_since.iter().enumerate() {
-        if let Some(start) = open {
-            downtime[i] += horizon.saturating_since(*start);
-        }
-    }
+    let mut visits = RemediationVisits::new(view.num_nodes());
+    let mut repair_times: Vec<f64> = view
+        .node_events()
+        .iter()
+        .filter_map(|e| visits.observe(e))
+        .map(|d| d.as_hours())
+        .collect();
+    repair_times.sort_by(|a, b| a.partial_cmp(b).expect("finite repair times"));
+    let p90 = rsc_sim_core::stats::quantile_sorted(&repair_times, 0.90).unwrap_or(0.0);
+    let fleet = visits.snapshot(horizon, p90);
 
     let window = horizon.as_days().max(f64::MIN_POSITIVE);
-    let nodes: Vec<NodeAvailability> = (0..n)
-        .map(|i| NodeAvailability {
-            node: NodeId::new(i as u32),
-            repairs: repairs[i],
-            downtime: downtime[i],
-            availability: 1.0 - (downtime[i].as_days() / window).min(1.0),
+    let nodes: Vec<NodeAvailability> = (0..visits.down_since.len())
+        .map(|i| {
+            let downtime = visits.downtime(i, horizon);
+            NodeAvailability {
+                node: NodeId::new(i as u32),
+                repairs: visits.repairs[i],
+                downtime,
+                availability: 1.0 - (downtime.as_days() / window).min(1.0),
+            }
         })
         .collect();
 
-    let stats: StreamingStats = repair_times.iter().copied().collect();
-    let mut sorted = repair_times.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite repair times"));
-    let p90 = rsc_sim_core::stats::quantile_sorted(&sorted, 0.90).unwrap_or(0.0);
-    let lost_node_days: f64 = nodes.iter().map(|a| a.downtime.as_days()).sum();
-    let fleet = 1.0 - lost_node_days / (window * n.max(1) as f64);
-
     FleetAvailability {
         nodes,
-        mttr_hours: stats.mean(),
+        mttr_hours: fleet.mttr_hours,
         mttr_p90_hours: p90,
-        fleet_availability: fleet,
-        lost_node_days,
+        fleet_availability: fleet.fleet_availability,
+        lost_node_days: fleet.lost_node_days,
+    }
+}
+
+/// Fleet availability and repair time at one instant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AvailabilitySnapshot {
+    /// In-service node-time over total node-time up to the snapshot
+    /// instant.
+    pub fleet_availability: f64,
+    /// Mean time to repair across completed visits, hours.
+    pub mttr_hours: f64,
+    /// 90th-percentile repair time, hours, as the caller measured it.
+    pub mttr_p90_hours: f64,
+    /// Capacity lost to remediation so far, node-days.
+    pub lost_node_days: f64,
+    /// Completed remediation visits.
+    pub completed_repairs: u64,
+    /// Remediation intervals still open.
+    pub open_intervals: u32,
+}
+
+/// The remediation-visit fold: pairs each node's `EnterRemediation` with
+/// its next `ExitRemediation`, one node event at a time, and charges a
+/// visit still open to the instant asked about.
+///
+/// [`fleet_availability`] folds a sealed view's node events through it
+/// and `rsc-monitor` feeds it live, so availability, MTTR and lost
+/// node-days have this one implementation. Each caller keeps the closed
+/// visits' durations ([`Self::observe`] returns them) in its own form for
+/// the 90th percentile: the batch pass keeps every one, the monitor a
+/// log histogram.
+#[derive(Debug, Clone)]
+pub struct RemediationVisits {
+    down_since: Vec<Option<SimTime>>,
+    downtime: Vec<SimDuration>,
+    repairs: Vec<u32>,
+    repair_stats: StreamingStats,
+}
+
+impl RemediationVisits {
+    /// An empty fold over a fleet of `num_nodes`.
+    pub fn new(num_nodes: u32) -> Self {
+        let n = num_nodes as usize;
+        RemediationVisits {
+            down_since: vec![None; n],
+            downtime: vec![SimDuration::ZERO; n],
+            repairs: vec![0; n],
+            repair_stats: StreamingStats::new(),
+        }
+    }
+
+    /// Folds one node lifecycle event in and returns the duration of the
+    /// visit it closes, if it closes one.
+    ///
+    /// Drains and the fallible-remediation transitions (failed attempts,
+    /// escalations, probation) all happen while the node's visit is
+    /// already open; quarantine simply never closes it, so the open visit
+    /// is charged to the snapshot instant.
+    pub fn observe(&mut self, e: &NodeEvent) -> Option<SimDuration> {
+        let i = e.node.as_usize();
+        if i >= self.down_since.len() {
+            return None;
+        }
+        match e.kind {
+            NodeEventKind::EnterRemediation if self.down_since[i].is_none() => {
+                self.down_since[i] = Some(e.at);
+                None
+            }
+            NodeEventKind::ExitRemediation => {
+                let d = e.at.saturating_since(self.down_since[i].take()?);
+                self.downtime[i] += d;
+                self.repairs[i] += 1;
+                self.repair_stats.push(d.as_hours());
+                Some(d)
+            }
+            _ => None,
+        }
+    }
+
+    /// Node `i`'s time out of service up to `now`, its open visit charged
+    /// to `now`.
+    fn downtime(&self, i: usize, now: SimTime) -> SimDuration {
+        let open =
+            self.down_since[i].map_or(SimDuration::ZERO, |start| now.saturating_since(start));
+        self.downtime[i] + open
+    }
+
+    /// The fleet at `now`, with the caller's 90th-percentile repair time.
+    pub fn snapshot(&self, now: SimTime, mttr_p90_hours: f64) -> AvailabilitySnapshot {
+        let n = self.down_since.len();
+        let window = now.as_days().max(f64::MIN_POSITIVE);
+        let lost_node_days: f64 = (0..n).map(|i| self.downtime(i, now).as_days()).sum();
+        AvailabilitySnapshot {
+            fleet_availability: 1.0 - lost_node_days / (window * n.max(1) as f64),
+            mttr_hours: self.repair_stats.mean(),
+            mttr_p90_hours,
+            lost_node_days,
+            completed_repairs: self.repair_stats.count(),
+            open_intervals: self.down_since.iter().filter(|d| d.is_some()).count() as u32,
+        }
     }
 }
 

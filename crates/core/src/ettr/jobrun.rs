@@ -170,9 +170,13 @@ pub fn long_high_priority_runs(runs: &[JobRun], min_scheduled: SimDuration) -> V
 /// One Fig. 9 bucket: measured ETTR statistics for runs of similar size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EttrBucket {
-    /// Lower edge of the GPU bucket (inclusive).
+    /// The bucket key: the [`size_bucket`] at or above the sizes of the
+    /// runs it holds (at least 8), so it is their *upper* edge,
+    /// inclusive. A 300-GPU run is in the bucket keyed 512, which holds
+    /// runs of 257–512 GPUs.
     pub gpus_lo: u32,
-    /// Upper edge (exclusive).
+    /// Twice `gpus_lo` (saturating at `u32::MAX`): not an edge of the
+    /// sizes the bucket holds.
     pub gpus_hi: u32,
     /// Number of runs in the bucket.
     pub runs: usize,

@@ -28,7 +28,5 @@ pub use jobrun::{
 pub use montecarlo::{
     monte_carlo_ettr, monte_carlo_ettr_with_loss, CheckpointLossModel, MonteCarloEttr,
 };
-pub use requirements::{
-    max_checkpoint_interval_mins, max_coupled_interval_mins, sweep, SweepPoint,
-};
+pub use requirements::{max_checkpoint_interval_mins, max_coupled_interval_mins};
 pub use restart::RestartOverheadModel;

@@ -6,49 +6,6 @@
 
 use super::analytical::{expected_ettr, EttrParams};
 
-/// One cell of the Fig. 10 sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Failure rate, failures per node-day.
-    pub r_f: f64,
-    /// Checkpoint interval, minutes.
-    pub checkpoint_mins: f64,
-    /// Resulting expected ETTR.
-    pub ettr: f64,
-}
-
-/// Sweeps expected ETTR over failure rates × checkpoint intervals for a
-/// job of `gpus` GPUs (Fig. 10's axes).
-pub fn sweep(
-    gpus: u32,
-    r_f_values: &[f64],
-    checkpoint_mins: &[f64],
-    queue_time_mins: f64,
-    restart_overhead_mins: f64,
-    productive_days: f64,
-) -> Vec<SweepPoint> {
-    let nodes = gpus.div_ceil(8);
-    let mut out = Vec::with_capacity(r_f_values.len() * checkpoint_mins.len());
-    for &r_f in r_f_values {
-        for &cp in checkpoint_mins {
-            let params = EttrParams {
-                nodes,
-                r_f,
-                queue_time: queue_time_mins / 60.0 / 24.0,
-                restart_overhead: restart_overhead_mins / 60.0 / 24.0,
-                checkpoint_interval: cp / 60.0 / 24.0,
-                productive_time: productive_days,
-            };
-            out.push(SweepPoint {
-                r_f,
-                checkpoint_mins: cp,
-                ettr: expected_ettr(&params),
-            });
-        }
-    }
-    out
-}
-
 /// Finds (by bisection) the largest checkpoint interval, in minutes, that
 /// still achieves `target_ettr`. Returns `None` when even near-continuous
 /// checkpointing cannot reach the target.
@@ -172,34 +129,5 @@ mod tests {
     #[test]
     fn unreachable_targets_return_none() {
         assert!(max_checkpoint_interval_mins(1_000_000, 0.05, 0.99, 1.0, 30.0, 7.0).is_none());
-    }
-
-    #[test]
-    fn sweep_is_monotone() {
-        let pts = sweep(
-            100_000,
-            &[RSC2_RATE, RSC1_RATE],
-            &[2.0, 7.0, 21.0, 60.0],
-            1.0,
-            2.0,
-            7.0,
-        );
-        assert_eq!(pts.len(), 8);
-        // For fixed r_f, ETTR decreases with the checkpoint interval.
-        for w in pts.windows(2) {
-            if (w[0].r_f - w[1].r_f).abs() < 1e-12 {
-                assert!(w[0].ettr >= w[1].ettr);
-            }
-        }
-        // For fixed interval, the lower failure rate gives higher ETTR.
-        let low = pts
-            .iter()
-            .find(|p| p.r_f == RSC2_RATE && p.checkpoint_mins == 7.0)
-            .unwrap();
-        let high = pts
-            .iter()
-            .find(|p| p.r_f == RSC1_RATE && p.checkpoint_mins == 7.0)
-            .unwrap();
-        assert!(low.ettr > high.ettr);
     }
 }

@@ -6,13 +6,15 @@
 //! (the paper reports >85% accuracy and a 14% → 4% reduction in large-job
 //! failure rates).
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use rsc_cluster::ids::NodeId;
+use rsc_health::monitor::HealthEvent;
+use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::JobStatus;
 use rsc_sim_core::stats::Ecdf;
 use rsc_sim_core::time::{SimDuration, SimTime};
-use rsc_telemetry::store::NodeEventKind;
+use rsc_telemetry::store::{ExclusionEvent, NodeEvent, NodeEventKind};
 use rsc_telemetry::view::TelemetryView;
 
 /// The seven lemon-detection signals for one node (paper §IV-A).
@@ -56,149 +58,379 @@ impl LemonFeatures {
     }
 }
 
-/// Computes features for every node over `[from, to]`.
+/// Computes features for every node over `[from, to]`: the
+/// [`WindowedLemon`] fold over the whole view with the trailing window
+/// `to − from`, every blame resolved at `to`. An empty range (`from >
+/// to`) holds no signal, so every row is all zero.
 pub fn compute_features(view: &TelemetryView, from: SimTime, to: SimTime) -> Vec<LemonFeatures> {
-    let n = view.num_nodes() as usize;
-    let mut features: Vec<LemonFeatures> = (0..n)
-        .map(|i| LemonFeatures::new(NodeId::new(i as u32)))
-        .collect();
+    let mut fold = WindowedLemon::new(view.num_nodes(), to.saturating_since(from));
+    if from <= to {
+        view.jobs().iter().for_each(|r| fold.observe_job(r));
+        view.health_events()
+            .iter()
+            .for_each(|e| fold.observe_health(e));
+        view.node_events()
+            .iter()
+            .for_each(|e| fold.observe_node_event(e));
+        view.exclusions()
+            .iter()
+            .for_each(|e| fold.observe_exclusion(e));
+    }
+    fold.resolve(to, true);
+    fold.features(to)
+}
 
-    // excl_jobid_count: distinct excluding jobs per node.
-    let mut excluders: Vec<HashSet<u64>> = vec![HashSet::new(); n];
-    for e in view.exclusions() {
-        if e.at >= from && e.at <= to {
-            excluders[e.node.as_usize()].insert(e.job.raw());
+/// How far before a job's end an implicating event may lie (paper §III).
+const BLAME_BEFORE: SimDuration = SimDuration::from_mins(10);
+/// How far after a job's end an implicating event may lie.
+const BLAME_AFTER: SimDuration = SimDuration::from_mins(5);
+
+/// The lemon-feature fold: the seven Table-II signals over a trailing
+/// window, fed one record at a time.
+///
+/// Ring buffers hold only the trailing `window` of each input stream once
+/// [`Self::evict`] runs, so memory is bounded by window content, not run
+/// length. Multi-node blame needs events up to five minutes *after* a job
+/// ends (the paper's attribution window), so infra-failed multi-node jobs
+/// park in a pending queue until their blame window closes; blame is then
+/// frozen, because every event in `[end − 10 min, end + 5 min]` has been
+/// delivered by that point. [`compute_features`] folds a sealed view
+/// through it, and `rsc-monitor` feeds it live, so the batch pass and the
+/// online monitor share this one implementation.
+///
+/// Per-call work is proportional to the window's content, not to fleet
+/// size: [`WindowedLemon::signalled`] builds rows only for nodes with
+/// in-window signal, and nothing is allocated per node up front.
+#[derive(Debug, Clone)]
+pub struct WindowedLemon {
+    window: SimDuration,
+    num_nodes: usize,
+    /// `(at, node, job id)` for user exclusions.
+    exclusions: VecDeque<(SimTime, u32, u64)>,
+    /// `(at, node, xid code)` for XID-bearing health events.
+    xids: VecDeque<(SimTime, u32, u16)>,
+    /// `(at, node, kind)` for ticket/out-count lifecycle transitions.
+    lifecycle: VecDeque<(SimTime, u32, NodeEventKind)>,
+    /// `(at, node)` implication evidence: every health event plus
+    /// `EnterRemediation`/`Drain`, kept only as long as a pending job could
+    /// still need it.
+    implication: VecDeque<(SimTime, u32)>,
+    /// `(ended_at, node, infra_failed)` for started single-node jobs.
+    singles: VecDeque<(SimTime, u32, bool)>,
+    /// `(ended_at, blamed nodes)` for resolved multi-node infra failures.
+    multis: VecDeque<(SimTime, Vec<u32>)>,
+    /// Multi-node infra failures awaiting blame-window close.
+    pending: VecDeque<(SimTime, Vec<u32>)>,
+}
+
+impl WindowedLemon {
+    /// An empty estimator over `num_nodes` with the given trailing window.
+    pub fn new(num_nodes: u32, window: SimDuration) -> Self {
+        WindowedLemon {
+            window,
+            num_nodes: num_nodes as usize,
+            exclusions: VecDeque::new(),
+            xids: VecDeque::new(),
+            lifecycle: VecDeque::new(),
+            implication: VecDeque::new(),
+            singles: VecDeque::new(),
+            multis: VecDeque::new(),
+            pending: VecDeque::new(),
         }
     }
-    for (i, set) in excluders.iter().enumerate() {
-        features[i].excl_jobid_count = set.len() as u32;
+
+    /// Folds one terminal job record in.
+    pub fn observe_job(&mut self, r: &JobRecord) {
+        if r.started_at.is_none() {
+            return;
+        }
+        let infra = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued);
+        if r.nodes.len() == 1 {
+            self.singles
+                .push_back((r.ended_at, r.nodes[0].index(), infra));
+        } else if infra {
+            self.pending
+                .push_back((r.ended_at, r.nodes.iter().map(|n| n.index()).collect()));
+        }
     }
 
-    // xid_cnt: distinct XID codes per node from health events.
-    let mut xids: Vec<HashSet<u16>> = vec![HashSet::new(); n];
-    for e in view.health_events() {
-        if e.at < from || e.at > to {
-            continue;
-        }
+    /// Folds one health event in (false positives included: they count
+    /// as implication evidence too).
+    pub fn observe_health(&mut self, e: &HealthEvent) {
         if let Some(rsc_failure::signals::SignalKind::Xid(x)) = e.signal {
-            xids[e.node.as_usize()].insert(x.code());
+            self.xids.push_back((e.at, e.node.index(), x.code()));
         }
-    }
-    for (i, set) in xids.iter().enumerate() {
-        features[i].xid_cnt = set.len() as u32;
+        self.implicate(e.at, e.node);
     }
 
-    // tickets / out_count from node lifecycle events.
-    for e in view.node_events() {
-        if e.at < from || e.at > to {
-            continue;
+    fn implicate(&mut self, at: SimTime, node: NodeId) {
+        if node.as_usize() < self.num_nodes {
+            self.implication.push_back((at, node.index()));
         }
-        let f = &mut features[e.node.as_usize()];
+    }
+
+    /// Folds one node lifecycle event in.
+    pub fn observe_node_event(&mut self, e: &NodeEvent) {
         match e.kind {
-            NodeEventKind::EnterRemediation => {
-                f.tickets += 1;
-                f.out_count += 1;
+            NodeEventKind::EnterRemediation
+            | NodeEventKind::Drain
+            | NodeEventKind::RepairAttemptFailed
+            | NodeEventKind::ProbationFailed
+            | NodeEventKind::Quarantined => {
+                self.lifecycle.push_back((e.at, e.node.index(), e.kind));
             }
-            NodeEventKind::Drain => f.out_count += 1,
-            // Fallible-remediation churn: every failed repair attempt and
-            // flunked probation files another ticket against the node, and
-            // quarantine is one final service removal — so budget-exhausted
-            // nodes light up the detector's ticket/out-count criteria.
-            NodeEventKind::RepairAttemptFailed | NodeEventKind::ProbationFailed => {
-                f.tickets += 1;
-            }
-            NodeEventKind::Quarantined => {
-                f.tickets += 1;
-                f.out_count += 1;
-            }
-            NodeEventKind::ExitRemediation
-            | NodeEventKind::RepairEscalated
-            | NodeEventKind::EnterProbation
-            | NodeEventKind::ProbationPassed => {}
+            _ => {}
         }
-    }
-
-    // Health-event times per node, for caused-by attribution of multi-node
-    // failures: blaming every node of a failed 32-node job would swamp the
-    // signal with innocent bystanders.
-    let mut event_times: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    for e in view.health_events() {
-        event_times[e.node.as_usize()].push(e.at);
-    }
-    // A node pulled from service at the failure instant is implicated even
-    // when no check fired (the NODE_FAIL heartbeat path).
-    for e in view.node_events() {
+        // A node pulled from service at the failure instant is implicated
+        // even when no check fired (the NODE_FAIL heartbeat path).
         if matches!(
             e.kind,
             NodeEventKind::EnterRemediation | NodeEventKind::Drain
         ) {
-            event_times[e.node.as_usize()].push(e.at);
+            self.implicate(e.at, e.node);
         }
     }
-    for times in &mut event_times {
-        times.sort();
-    }
-    let implicated = |node: usize, end: SimTime| -> bool {
-        let lo = end - rsc_sim_core::time::SimDuration::from_mins(10);
-        let hi = end + rsc_sim_core::time::SimDuration::from_mins(5);
-        let times = &event_times[node];
-        let start = times.partition_point(|&t| t < lo);
-        start < times.len() && times[start] <= hi
-    };
 
-    // Job-derived failure counts.
-    let mut single_jobs: Vec<u32> = vec![0; n];
-    for r in view.jobs() {
-        if r.ended_at < from || r.ended_at > to || r.started_at.is_none() {
-            continue;
+    /// Folds one user exclusion in.
+    pub fn observe_exclusion(&mut self, e: &ExclusionEvent) {
+        self.exclusions
+            .push_back((e.at, e.node.index(), e.job.raw()));
+    }
+
+    /// Resolves pending multi-node blames whose window has closed
+    /// (strictly — ties wait for the next tick), or everything at
+    /// end-of-run when `finished` is set.
+    pub fn resolve(&mut self, now: SimTime, finished: bool) {
+        let ready = self
+            .pending
+            .iter()
+            .take_while(|(ended_at, _)| finished || now.saturating_since(*ended_at) > BLAME_AFTER)
+            .count();
+        if ready == 0 {
+            return;
         }
-        let infra_failed = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued);
-        if r.nodes.len() == 1 {
-            let i = r.nodes[0].as_usize();
-            single_jobs[i] += 1;
-            if infra_failed {
-                features[i].single_node_node_fails += 1;
-            }
-        } else if infra_failed {
-            // Blame only nodes a health event implicates; a NODE_FAIL hang
-            // with no events falls back to blaming the whole allocation.
-            let blamed: Vec<usize> = r
-                .nodes
+        // The implication evidence any ready job could use, by node and time.
+        let ends = || self.pending.iter().take(ready).map(|p| p.0);
+        let from = ends().min().expect("ready > 0") - BLAME_BEFORE;
+        let to = ends().max().expect("ready > 0") + BLAME_AFTER;
+        let mut evidence: Vec<(u32, SimTime)> = self
+            .implication
+            .iter()
+            .filter(|&&(t, _)| from <= t && t <= to)
+            .map(|&(t, node)| (node, t))
+            .collect();
+        evidence.sort_unstable();
+        for (ended_at, nodes) in self.pending.drain(..ready) {
+            let blamed: Vec<u32> = nodes
                 .iter()
-                .map(|nd| nd.as_usize())
-                .filter(|&i| implicated(i, r.ended_at))
+                .copied()
+                .filter(|&n| implicated(&evidence, n, ended_at))
                 .collect();
-            if blamed.is_empty() {
-                for node in &r.nodes {
-                    features[node.as_usize()].multi_node_node_fails += 1;
+            // Blame only nodes a health event implicates (blaming every node
+            // of a failed 32-node job would swamp the signal with innocent
+            // bystanders); a NODE_FAIL hang with no implicating events
+            // falls back to blaming the whole allocation.
+            let blamed = if blamed.is_empty() { nodes } else { blamed };
+            self.multis.push_back((ended_at, blamed));
+        }
+    }
+
+    /// Evicts ring entries that have aged out of the window behind `now`.
+    /// Implication times are kept on their own shorter horizon (one tick
+    /// interval plus the blame lookback).
+    pub fn evict(&mut self, now: SimTime) {
+        let w = self.window;
+        Self::evict_ring(&mut self.exclusions, now, w, |e| e.0);
+        Self::evict_ring(&mut self.xids, now, w, |e| e.0);
+        Self::evict_ring(&mut self.lifecycle, now, w, |e| e.0);
+        Self::evict_ring(&mut self.singles, now, w, |e| e.0);
+        Self::evict_ring(&mut self.multis, now, w, |e| e.0);
+        Self::evict_ring(&mut self.implication, now, SimDuration::from_days(2), |e| {
+            e.0
+        });
+    }
+
+    fn evict_ring<T>(
+        ring: &mut VecDeque<T>,
+        now: SimTime,
+        window: SimDuration,
+        at: impl Fn(&T) -> SimTime,
+    ) {
+        while let Some(front) = ring.front() {
+            if now.saturating_since(at(front)) <= window {
+                break;
+            }
+            ring.pop_front();
+        }
+    }
+
+    /// Computes the seven Table-II features over the trailing window ending
+    /// at `now`, `[now − window, now]`, for
+    /// every node with an in-window exclusion, XID, lifecycle event,
+    /// single-node job or multi-node blame, ascending by node. Every other
+    /// node's features are all zero.
+    pub fn signalled(&self, now: SimTime) -> Vec<LemonFeatures> {
+        let in_window = |at: SimTime| at <= now && now.saturating_since(at) <= self.window;
+        let mut rows = Rows::new(self.num_nodes);
+
+        let mut excluders: Vec<(u32, u64)> = self
+            .exclusions
+            .iter()
+            .filter(|e| in_window(e.0))
+            .map(|&(_, node, job)| (node, job))
+            .collect();
+        excluders.sort_unstable();
+        excluders.dedup();
+        for (node, _) in excluders {
+            rows.row(node).excl_jobid_count += 1;
+        }
+
+        let mut codes: Vec<(u32, u16)> = self
+            .xids
+            .iter()
+            .filter(|e| in_window(e.0))
+            .map(|&(_, node, code)| (node, code))
+            .collect();
+        codes.sort_unstable();
+        codes.dedup();
+        for (node, _) in codes {
+            rows.row(node).xid_cnt += 1;
+        }
+
+        for &(at, node, kind) in &self.lifecycle {
+            if !in_window(at) {
+                continue;
+            }
+            let f = rows.row(node);
+            match kind {
+                NodeEventKind::EnterRemediation => {
+                    f.tickets += 1;
+                    f.out_count += 1;
                 }
-            } else {
-                for i in blamed {
-                    features[i].multi_node_node_fails += 1;
+                NodeEventKind::Drain => f.out_count += 1,
+                // Fallible-remediation churn: every failed repair attempt
+                // and flunked probation files another ticket against the
+                // node, and quarantine is one final service removal, so
+                // budget-exhausted nodes light up the ticket and
+                // out-count criteria.
+                NodeEventKind::RepairAttemptFailed | NodeEventKind::ProbationFailed => {
+                    f.tickets += 1;
                 }
+                NodeEventKind::Quarantined => {
+                    f.tickets += 1;
+                    f.out_count += 1;
+                }
+                _ => {}
             }
         }
-    }
-    for (i, &total) in single_jobs.iter().enumerate() {
-        if total > 0 {
-            features[i].single_node_node_failure_rate =
-                features[i].single_node_node_fails as f64 / total as f64;
+
+        for &(ended_at, node, infra) in &self.singles {
+            if !in_window(ended_at) {
+                continue;
+            }
+            let i = rows.index(node);
+            rows.single_totals[i] += 1;
+            if infra {
+                rows.features[i].single_node_node_fails += 1;
+            }
         }
+        for (ended_at, blamed) in &self.multis {
+            if !in_window(*ended_at) {
+                continue;
+            }
+            for &node in blamed {
+                rows.row(node).multi_node_node_fails += 1;
+            }
+        }
+
+        let Rows {
+            mut features,
+            single_totals,
+            ..
+        } = rows;
+        for (f, &total) in features.iter_mut().zip(&single_totals) {
+            if total > 0 {
+                f.single_node_node_failure_rate = f.single_node_node_fails as f64 / total as f64;
+            }
+        }
+        features.sort_unstable_by_key(|f| f.node.index());
+        features
     }
-    features
+
+    /// The features of every node, in node order: [`Self::signalled`]
+    /// with an all-zero row for each node it leaves out.
+    pub fn features(&self, now: SimTime) -> Vec<LemonFeatures> {
+        with_zero_rows(self.signalled(now), 0..self.num_nodes as u32)
+    }
+
+    /// Multi-node infra failures still awaiting blame-window close.
+    pub fn pending_blames(&self) -> usize {
+        self.pending.len()
+    }
 }
 
-/// Computes features over the trailing `window` ending at `now`: the batch
-/// twin of the streaming `rsc-monitor` windowed estimator, and exactly
-/// [`compute_features`] over `[now − window, now]`. The lower bound
-/// saturates at time zero, so a window at least as long as the run
-/// degenerates to the full-range pass.
-pub fn compute_windowed_features(
-    view: &TelemetryView,
-    now: SimTime,
-    window: SimDuration,
+/// Merges an all-zero row for each of `nodes` (ascending) into `rows`
+/// (ascending by node); a node that already has a row keeps it.
+pub fn with_zero_rows(
+    rows: Vec<LemonFeatures>,
+    nodes: impl IntoIterator<Item = u32>,
 ) -> Vec<LemonFeatures> {
-    compute_features(view, now - window, now)
+    let mut out = Vec::with_capacity(rows.len());
+    let mut rows = rows.into_iter().peekable();
+    for node in nodes {
+        while let Some(row) = rows.next_if(|r| r.node.index() < node) {
+            out.push(row);
+        }
+        if rows.peek().is_none_or(|r| r.node.index() != node) {
+            out.push(LemonFeatures::new(NodeId::new(node)));
+        }
+    }
+    out.extend(rows);
+    out
+}
+
+/// Whether `evidence` (sorted `(node, at)` pairs) holds an event on `node`
+/// inside the blame window around a job end.
+fn implicated(evidence: &[(u32, SimTime)], node: u32, end: SimTime) -> bool {
+    let i = evidence.partition_point(|&e| e < (node, end - BLAME_BEFORE));
+    evidence
+        .get(i)
+        .is_some_and(|&(n, t)| n == node && t <= end + BLAME_AFTER)
+}
+
+/// Feature rows created on first touch. `slot` maps a node to its row plus
+/// one (0: none yet); it is a zeroed allocation whose untouched pages cost
+/// nothing, so a pass stays proportional to the rows it touches.
+struct Rows {
+    slot: Vec<u32>,
+    features: Vec<LemonFeatures>,
+    /// Started single-node jobs per row, the failure rate's denominator.
+    single_totals: Vec<u32>,
+}
+
+impl Rows {
+    fn new(num_nodes: usize) -> Self {
+        Rows {
+            slot: vec![0; num_nodes],
+            features: Vec::new(),
+            single_totals: Vec::new(),
+        }
+    }
+
+    fn index(&mut self, node: u32) -> usize {
+        let slot = &mut self.slot[node as usize];
+        if *slot == 0 {
+            self.features.push(LemonFeatures::new(NodeId::new(node)));
+            self.single_totals.push(0);
+            *slot = self.features.len() as u32;
+        }
+        *slot as usize - 1
+    }
+
+    fn row(&mut self, node: u32) -> &mut LemonFeatures {
+        let i = self.index(node);
+        &mut self.features[i]
+    }
 }
 
 /// Threshold classifier over the features.
@@ -432,6 +664,10 @@ pub fn large_job_failure_rate(view: &TelemetryView, min_gpus: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_cluster::ids::JobId;
+    use rsc_failure::modes::Severity;
+    use rsc_health::check::CheckKind;
+    use rsc_sched::job::QosClass;
 
     fn features(node: u32) -> LemonFeatures {
         LemonFeatures::new(NodeId::new(node))
@@ -517,5 +753,103 @@ mod tests {
         for (_, cdf) in &cdfs {
             assert_eq!(cdf.len(), 2);
         }
+    }
+
+    fn multi_fail(nodes: &[u32], ended_h: u64) -> JobRecord {
+        JobRecord {
+            job: JobId::new(9),
+            attempt: 0,
+            run: None,
+            gpus: 8 * nodes.len() as u32,
+            qos: QosClass::Normal,
+            nodes: nodes.iter().map(|&n| NodeId::new(n)).collect(),
+            enqueued_at: SimTime::ZERO,
+            started_at: Some(SimTime::ZERO),
+            ended_at: SimTime::from_hours(ended_h),
+            status: JobStatus::NodeFail,
+            preempted_by: None,
+            instigator: None,
+        }
+    }
+
+    fn health(node: u32, at: SimTime) -> HealthEvent {
+        HealthEvent {
+            at,
+            node: NodeId::new(node),
+            check: CheckKind::IbLink,
+            severity: Severity::High,
+            signal: None,
+            false_positive: false,
+        }
+    }
+
+    #[test]
+    fn blame_narrows_to_implicated_node() {
+        let mut w = WindowedLemon::new(4, SimDuration::from_days(60));
+        let end = SimTime::from_hours(10);
+        w.observe_health(&health(2, end));
+        w.observe_job(&multi_fail(&[1, 2, 3], 10));
+        w.resolve(SimTime::from_days(1), false);
+        let f = w.features(SimTime::from_days(1));
+        assert_eq!(f[2].multi_node_node_fails, 1);
+        assert_eq!(f[1].multi_node_node_fails, 0);
+        assert_eq!(f[3].multi_node_node_fails, 0);
+    }
+
+    #[test]
+    fn unimplicated_failure_blames_all() {
+        let mut w = WindowedLemon::new(4, SimDuration::from_days(60));
+        w.observe_job(&multi_fail(&[0, 1], 10));
+        w.resolve(SimTime::from_days(1), false);
+        let f = w.features(SimTime::from_days(1));
+        assert_eq!(f[0].multi_node_node_fails, 1);
+        assert_eq!(f[1].multi_node_node_fails, 1);
+    }
+
+    #[test]
+    fn blame_waits_for_window_close() {
+        let mut w = WindowedLemon::new(2, SimDuration::from_days(60));
+        w.observe_job(&multi_fail(&[0, 1], 10));
+        // 3 minutes after the end: the +5 min window is still open.
+        w.resolve(SimTime::from_hours(10) + SimDuration::from_mins(3), false);
+        assert_eq!(w.pending_blames(), 1);
+        w.resolve(SimTime::from_hours(11), false);
+        assert_eq!(w.pending_blames(), 0);
+    }
+
+    #[test]
+    fn signalled_lists_touched_nodes_in_order() {
+        let mut w = WindowedLemon::new(6, SimDuration::from_days(7));
+        for node in [4, 1, 4] {
+            w.observe_exclusion(&ExclusionEvent {
+                node: NodeId::new(node),
+                job: JobId::new(5),
+                at: SimTime::from_days(1),
+            });
+        }
+        w.observe_job(&multi_fail(&[3, 1], 10));
+        w.resolve(SimTime::from_days(1), false);
+        let now = SimTime::from_days(1);
+        let rows = w.signalled(now);
+        let nodes: Vec<u32> = rows.iter().map(|f| f.node.index()).collect();
+        assert_eq!(nodes, [1, 3, 4]);
+        assert_eq!(rows[2].excl_jobid_count, 1, "one distinct job");
+        let dense = w.features(now);
+        assert_eq!(dense.len(), 6);
+        assert_eq!(dense[0], LemonFeatures::new(NodeId::new(0)));
+        assert_eq!(dense[4], rows[2]);
+    }
+
+    #[test]
+    fn eviction_drops_old_signals() {
+        let mut w = WindowedLemon::new(2, SimDuration::from_days(7));
+        w.observe_exclusion(&ExclusionEvent {
+            node: NodeId::new(1),
+            job: JobId::new(5),
+            at: SimTime::from_days(1),
+        });
+        assert_eq!(w.features(SimTime::from_days(2))[1].excl_jobid_count, 1);
+        w.evict(SimTime::from_days(20));
+        assert_eq!(w.features(SimTime::from_days(20))[1].excl_jobid_count, 0);
     }
 }

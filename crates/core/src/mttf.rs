@@ -12,6 +12,7 @@ use rsc_telemetry::view::TelemetryView;
 use crate::attribution::{
     attribute_failures, is_failure_status, is_infra_failure, AttributionConfig,
 };
+use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::JobStatus;
 
 /// Which job endings count as failures for MTTF purposes.
@@ -91,42 +92,69 @@ pub fn mttf_by_job_size(
         .map(|a| a.record_index)
         .peekable();
 
-    let mut buckets = [(0u64, 0.0f64); 32];
+    let mut buckets = MttfBuckets::new();
     for (i, r) in jobs.iter().enumerate() {
         let failed = match scope {
             FailureScope::AllFailures => is_failure_status(r.status),
             FailureScope::InfraOnly => infra.next_if_eq(&i).is_some(),
         };
+        buckets.observe(r, failed);
+    }
+    buckets.points()
+}
+
+/// The MTTF fold: failures and exposure per [`power_of_two_bucket`], one
+/// 32-slot array indexed by the bucket's log2, fed one record at a time.
+///
+/// [`mttf_by_job_size`] folds a sealed view's records through it and
+/// `rsc-monitor` feeds it live, so both read the same bits: each bucket
+/// sums its records' hours in the order they arrive.
+#[derive(Debug, Clone, Default)]
+pub struct MttfBuckets {
+    buckets: [(u64, f64); 32],
+}
+
+impl MttfBuckets {
+    /// An empty fold.
+    pub fn new() -> Self {
+        MttfBuckets::default()
+    }
+
+    /// Folds one terminal job record in, counted as a failure when
+    /// `failed`. A record that never started adds nothing.
+    pub fn observe(&mut self, r: &JobRecord, failed: bool) {
         if r.started_at.is_none() {
-            continue;
+            return;
         }
-        let entry = &mut buckets[power_of_two_bucket(r.gpus).trailing_zeros() as usize];
+        let entry = &mut self.buckets[power_of_two_bucket(r.gpus).trailing_zeros() as usize];
         entry.1 += r.runtime().as_hours();
         if failed {
             entry.0 += 1;
         }
     }
 
-    buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, (_, exposure))| *exposure > 0.0)
-        .map(|(log2, (failures, exposure_hours))| {
-            let mttf_hours = if failures > 0 {
-                exposure_hours / failures as f64
-            } else {
-                f64::INFINITY
-            };
-            let ci90 = gamma_mttf_ci(failures, exposure_hours, 0.90);
-            MttfPoint {
-                gpus: 1 << log2,
-                failures,
-                exposure_hours,
-                mttf_hours,
-                ci90,
-            }
-        })
-        .collect()
+    /// The estimate of every bucket with exposure, ascending by size.
+    pub fn points(&self) -> Vec<MttfPoint> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, exposure))| *exposure > 0.0)
+            .map(|(log2, &(failures, exposure_hours))| {
+                let mttf_hours = if failures > 0 {
+                    exposure_hours / failures as f64
+                } else {
+                    f64::INFINITY
+                };
+                MttfPoint {
+                    gpus: 1 << log2,
+                    failures,
+                    exposure_hours,
+                    mttf_hours,
+                    ci90: gamma_mttf_ci(failures, exposure_hours, 0.90),
+                }
+            })
+            .collect()
+    }
 }
 
 /// 90% (or other) CI on MTTF from a Gamma posterior over the failure rate:
@@ -170,23 +198,64 @@ pub fn estimate_node_failure_rate(
 /// The status-only node-failure rate: NODE_FAIL / REQUEUED endings of
 /// jobs larger than `min_gpus` GPUs over their node-days of runtime.
 ///
-/// This is the estimate an *online* consumer can maintain incrementally —
-/// it needs no health-event attribution pass, only job records — and the
-/// batch anchor the `rsc-monitor` streaming estimator is proven against.
+/// This is the estimate an *online* consumer can maintain incrementally:
+/// it needs no health-event attribution pass, only job records, so it is
+/// one [`StreamingFailureRate`] fold, which `rsc-monitor` feeds live.
 /// It undercounts [`estimate_node_failure_rate`] by the FAILED-with-
 /// attribution term, so treat it as a lower bound on `r_f`.
 pub fn estimate_status_only_failure_rate(view: &TelemetryView, min_gpus: u32) -> f64 {
-    let failures = view
-        .jobs()
-        .iter()
-        .filter(|r| r.gpus > min_gpus)
-        .filter(|r| matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued))
-        .count() as u64;
-    let node_days = view.node_days_of_runtime(min_gpus);
-    if node_days <= 0.0 {
-        return 0.0;
+    let mut rate = StreamingFailureRate::new(min_gpus);
+    view.jobs().iter().for_each(|r| rate.observe(r));
+    rate.rate()
+}
+
+/// The status-only failure-rate fold behind
+/// [`estimate_status_only_failure_rate`], fed one record at a time.
+#[derive(Debug, Clone)]
+pub struct StreamingFailureRate {
+    min_gpus: u32,
+    failures: u64,
+    node_days: f64,
+}
+
+impl StreamingFailureRate {
+    /// An empty fold counting jobs with more than `min_gpus` GPUs.
+    pub fn new(min_gpus: u32) -> Self {
+        StreamingFailureRate {
+            min_gpus,
+            failures: 0,
+            node_days: 0.0,
+        }
     }
-    failures as f64 / node_days
+
+    /// Folds one terminal job record in.
+    pub fn observe(&mut self, r: &JobRecord) {
+        if r.gpus <= self.min_gpus {
+            return;
+        }
+        self.node_days += r.node_days();
+        if matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued) {
+            self.failures += 1;
+        }
+    }
+
+    /// Failures per node-day (0 before any exposure).
+    pub fn rate(&self) -> f64 {
+        if self.node_days <= 0.0 {
+            return 0.0;
+        }
+        self.failures as f64 / self.node_days
+    }
+
+    /// Infra failures counted so far.
+    pub fn failures(&self) -> u64 {
+        self.failures
+    }
+
+    /// Node-days of runtime accumulated so far.
+    pub fn node_days(&self) -> f64 {
+        self.node_days
+    }
 }
 
 /// Theoretical MTTF projection from a node failure rate.
@@ -222,6 +291,37 @@ impl MttfProjection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_cluster::ids::{JobId, NodeId};
+    use rsc_sched::job::QosClass;
+    use rsc_sim_core::time::SimTime;
+
+    fn record(gpus: u32, hours: u64, status: JobStatus) -> JobRecord {
+        JobRecord {
+            job: JobId::new(1),
+            attempt: 0,
+            run: None,
+            gpus,
+            qos: QosClass::Normal,
+            nodes: (0..gpus.div_ceil(8)).map(NodeId::new).collect(),
+            enqueued_at: SimTime::ZERO,
+            started_at: Some(SimTime::ZERO),
+            ended_at: SimTime::from_hours(hours),
+            status,
+            preempted_by: None,
+            instigator: None,
+        }
+    }
+
+    #[test]
+    fn failure_rate_counts_only_large_infra() {
+        let mut f = StreamingFailureRate::new(8);
+        f.observe(&record(8, 24, JobStatus::NodeFail)); // at floor: excluded
+        f.observe(&record(16, 24, JobStatus::NodeFail));
+        f.observe(&record(16, 24, JobStatus::Completed));
+        assert_eq!(f.failures(), 1);
+        // Two 16-GPU (2-node) jobs for a day each → 4 node-days.
+        assert!((f.rate() - 0.25).abs() < 1e-12);
+    }
 
     #[test]
     fn rounding_and_buckets() {

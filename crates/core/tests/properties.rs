@@ -4,25 +4,31 @@ use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
 
+use rsc_cluster::gpu::XidError;
 use rsc_cluster::ids::{JobId, JobRunId, NodeId};
 use rsc_core::attribution::{
     attribute_failures, is_failure_status, primary_cause, Attribution, AttributionConfig,
 };
+use rsc_core::availability::{fleet_availability, FleetAvailability, NodeAvailability};
 use rsc_core::ettr::analytical::{expected_ettr, expected_ettr_simplified, EttrParams};
 use rsc_core::ettr::jobrun::{ettr_by_size_bucket, reconstruct_job_runs, JobRun};
 use rsc_core::ettr::requirements::max_coupled_interval_mins;
 use rsc_core::goodput::{goodput_loss, GoodputLoss, GoodputLossPoint};
+use rsc_core::lemon::{compute_features, LemonFeatures};
 use rsc_core::mttf::{
-    estimate_node_failure_rate, gamma_mttf_ci, mttf_by_job_size, power_of_two_bucket,
-    round_up_to_server, size_bucket, FailureScope, MttfPoint, MttfProjection, TOP_SIZE_BUCKET,
+    estimate_node_failure_rate, estimate_status_only_failure_rate, gamma_mttf_ci, mttf_by_job_size,
+    power_of_two_bucket, round_up_to_server, size_bucket, FailureScope, MttfPoint, MttfProjection,
+    TOP_SIZE_BUCKET,
 };
 use rsc_failure::modes::Severity;
+use rsc_failure::signals::SignalKind;
 use rsc_health::check::CheckKind;
 use rsc_health::monitor::HealthEvent;
 use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
+use rsc_sim_core::stats::{quantile_sorted, StreamingStats};
 use rsc_sim_core::time::{SimDuration, SimTime};
-use rsc_telemetry::store::CheckpointFallbackEvent;
+use rsc_telemetry::store::{CheckpointFallbackEvent, ExclusionEvent, NodeEvent, NodeEventKind};
 use rsc_telemetry::view::TelemetryView;
 use rsc_telemetry::TelemetryStore;
 
@@ -726,4 +732,402 @@ fn bucket_helpers_are_total_at_u32_max() {
     assert_eq!(size_bucket((1 << 30) + 1), TOP_SIZE_BUCKET);
     assert_eq!(size_bucket(0), 1);
     assert_eq!(power_of_two_bucket(0), 8);
+}
+
+/// Fleet size of the lemon and availability streams.
+const FOLD_NODES: u32 = 6;
+/// Their run length, minutes.
+const FOLD_MINS: u64 = 2 * 24 * 60;
+
+/// A view's lemon-signal streams and the `[from, to]` range to read.
+#[derive(Debug, Clone)]
+struct LemonScenario {
+    jobs: Vec<JobRecord>,
+    health: Vec<HealthEvent>,
+    node_events: Vec<NodeEvent>,
+    exclusions: Vec<ExclusionEvent>,
+    from: SimTime,
+    to: SimTime,
+}
+
+impl LemonScenario {
+    fn seal(&self) -> TelemetryView {
+        let mut store = TelemetryStore::new("lemon", FOLD_NODES);
+        store.extend_jobs(self.jobs.iter().cloned());
+        for &e in &self.health {
+            store.push_health_event(e);
+        }
+        for &e in &self.node_events {
+            store.push_node_event(e);
+        }
+        for &e in &self.exclusions {
+            store.push_exclusion(e);
+        }
+        store.set_horizon(SimTime::from_mins(FOLD_MINS));
+        store.seal()
+    }
+}
+
+prop_compose! {
+    /// Random lemon streams read over the whole run, a window narrower
+    /// than it, `from == to` or `from > to`. Records sit exactly on both
+    /// window edges, one second outside them, and where a multi-node
+    /// failure ending just before `to` has its blame window straddle
+    /// `to` (an implicating event up to five minutes after it); pushed
+    /// in no time order.
+    fn arb_lemon_scenario()(
+        range in (0u8..4, 0u64..FOLD_MINS, 0u64..FOLD_MINS),
+        records in prop::collection::vec(
+            (0u8..6, 0u32..FOLD_NODES, 0u8..10, 0u64..FOLD_MINS, 0u32..64), 0..60),
+    ) -> LemonScenario {
+        let (kind, a, b) = range;
+        let (from, to) = match kind {
+            0 => (0, FOLD_MINS),
+            1 => (a.min(b), a.max(b)),
+            2 => (a, a),
+            _ => (a.max(b) + 1, a.min(b)),
+        };
+        let (from, to) = (SimTime::from_mins(from), SimTime::from_mins(to));
+        let mut scenario = LemonScenario {
+            jobs: Vec::new(),
+            health: Vec::new(),
+            node_events: Vec::new(),
+            exclusions: Vec::new(),
+            from,
+            to,
+        };
+        for (i, (kind, node, edge, anywhere, detail)) in records.into_iter().enumerate() {
+            let at = match edge {
+                0 => from,
+                1 => to,
+                2 => from - SimDuration::from_secs(1),
+                3 => to + SimDuration::from_secs(1),
+                4 => to - SimDuration::from_mins(2),
+                5 => to + SimDuration::from_mins(3),
+                6 => to - SimDuration::from_mins(10),
+                _ => SimTime::from_mins(anywhere),
+            };
+            let job = |nodes: Vec<u32>| {
+                let started_at = at - SimDuration::from_hours(1);
+                JobRecord {
+                    job: JobId::new(i as u64),
+                    attempt: 0,
+                    run: None,
+                    gpus: 8 * nodes.len() as u32,
+                    qos: QosClass::Normal,
+                    nodes: nodes.into_iter().map(NodeId::new).collect(),
+                    enqueued_at: started_at,
+                    started_at: (detail % 7 != 6).then_some(started_at),
+                    ended_at: at,
+                    status: [
+                        JobStatus::Completed,
+                        JobStatus::NodeFail,
+                        JobStatus::Requeued,
+                        JobStatus::Failed,
+                    ][detail as usize % 4],
+                    preempted_by: None,
+                    instigator: None,
+                }
+            };
+            let node_id = NodeId::new(node);
+            match kind {
+                0 | 1 => scenario.health.push(HealthEvent {
+                    at,
+                    node: node_id,
+                    check: CheckKind::ALL[detail as usize % CheckKind::ALL.len()],
+                    severity: Severity::High,
+                    signal: (kind == 0)
+                        .then(|| SignalKind::Xid(XidError::Other(40 + (detail % 4) as u16))),
+                    false_positive: detail % 2 == 0,
+                }),
+                2 => scenario.node_events.push(NodeEvent {
+                    node: node_id,
+                    at,
+                    kind: NodeEventKind::ALL[detail as usize % NodeEventKind::ALL.len()],
+                }),
+                3 => scenario.exclusions.push(ExclusionEvent {
+                    node: node_id,
+                    job: JobId::new(u64::from(detail % 5)),
+                    at,
+                }),
+                4 => scenario.jobs.push(job(vec![node])),
+                _ => scenario.jobs.push(job(
+                    (0..2 + detail % 2).map(|k| (node + k) % FOLD_NODES).collect(),
+                )),
+            }
+        }
+        scenario
+    }
+}
+
+/// The per-stream batch pass `compute_features` made before it became a
+/// fold: each feature by its own walk over `[from, to]`, multi-node blame
+/// from per-node sorted event times.
+fn reference_features(view: &TelemetryView, from: SimTime, to: SimTime) -> Vec<LemonFeatures> {
+    let n = view.num_nodes() as usize;
+    let mut features: Vec<LemonFeatures> = (0..n)
+        .map(|i| LemonFeatures::new(NodeId::new(i as u32)))
+        .collect();
+    let in_range = |at: SimTime| from <= at && at <= to;
+
+    let mut excluders: Vec<HashSet<u64>> = vec![HashSet::new(); n];
+    for e in view.exclusions().iter().filter(|e| in_range(e.at)) {
+        excluders[e.node.as_usize()].insert(e.job.raw());
+    }
+    let mut xids: Vec<HashSet<u16>> = vec![HashSet::new(); n];
+    for e in view.health_events().iter().filter(|e| in_range(e.at)) {
+        if let Some(SignalKind::Xid(x)) = e.signal {
+            xids[e.node.as_usize()].insert(x.code());
+        }
+    }
+    for (i, f) in features.iter_mut().enumerate() {
+        f.excl_jobid_count = excluders[i].len() as u32;
+        f.xid_cnt = xids[i].len() as u32;
+    }
+    for e in view.node_events().iter().filter(|e| in_range(e.at)) {
+        let f = &mut features[e.node.as_usize()];
+        match e.kind {
+            NodeEventKind::EnterRemediation | NodeEventKind::Quarantined => {
+                f.tickets += 1;
+                f.out_count += 1;
+            }
+            NodeEventKind::Drain => f.out_count += 1,
+            NodeEventKind::RepairAttemptFailed | NodeEventKind::ProbationFailed => f.tickets += 1,
+            _ => {}
+        }
+    }
+
+    let mut event_times: Vec<Vec<SimTime>> = vec![Vec::new(); n];
+    for e in view.health_events() {
+        event_times[e.node.as_usize()].push(e.at);
+    }
+    for e in view.node_events() {
+        if matches!(
+            e.kind,
+            NodeEventKind::EnterRemediation | NodeEventKind::Drain
+        ) {
+            event_times[e.node.as_usize()].push(e.at);
+        }
+    }
+    let implicated = |node: usize, end: SimTime| {
+        let (lo, hi) = (
+            end - SimDuration::from_mins(10),
+            end + SimDuration::from_mins(5),
+        );
+        event_times[node].iter().any(|&t| lo <= t && t <= hi)
+    };
+
+    let mut single_jobs: Vec<u32> = vec![0; n];
+    for r in view.jobs() {
+        if !in_range(r.ended_at) || r.started_at.is_none() {
+            continue;
+        }
+        let infra_failed = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued);
+        if r.nodes.len() == 1 {
+            let i = r.nodes[0].as_usize();
+            single_jobs[i] += 1;
+            if infra_failed {
+                features[i].single_node_node_fails += 1;
+            }
+        } else if infra_failed {
+            let blamed: Vec<usize> = r
+                .nodes
+                .iter()
+                .map(|nd| nd.as_usize())
+                .filter(|&i| implicated(i, r.ended_at))
+                .collect();
+            let blamed = if blamed.is_empty() {
+                r.nodes.iter().map(|nd| nd.as_usize()).collect()
+            } else {
+                blamed
+            };
+            for i in blamed {
+                features[i].multi_node_node_fails += 1;
+            }
+        }
+    }
+    for (f, &total) in features.iter_mut().zip(&single_jobs) {
+        if total > 0 {
+            f.single_node_node_failure_rate = f.single_node_node_fails as f64 / total as f64;
+        }
+    }
+    features
+}
+
+/// Lemon features with the failure rate as its bits.
+fn feature_bits(features: &[LemonFeatures]) -> Vec<(u32, [u32; 6], u64)> {
+    features
+        .iter()
+        .map(|f| {
+            (
+                f.node.index(),
+                [
+                    f.excl_jobid_count,
+                    f.xid_cnt,
+                    f.tickets,
+                    f.out_count,
+                    f.multi_node_node_fails,
+                    f.single_node_node_fails,
+                ],
+                f.single_node_node_failure_rate.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The status-only rate as a filtered count over the view's node-days.
+fn reference_status_only_rf(view: &TelemetryView, min_gpus: u32) -> f64 {
+    let failures = view
+        .jobs()
+        .iter()
+        .filter(|r| r.gpus > min_gpus)
+        .filter(|r| matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued))
+        .count();
+    let node_days = view.node_days_of_runtime(min_gpus);
+    if node_days <= 0.0 {
+        return 0.0;
+    }
+    failures as f64 / node_days
+}
+
+/// The batch availability pass `fleet_availability` made before it became
+/// a fold: per-node arrays, open visits charged to the horizon after the
+/// walk.
+fn reference_availability(view: &TelemetryView) -> FleetAvailability {
+    let n = view.num_nodes() as usize;
+    let horizon = view.horizon();
+    let mut down_since: Vec<Option<SimTime>> = vec![None; n];
+    let mut downtime = vec![SimDuration::ZERO; n];
+    let mut repairs = vec![0u32; n];
+    let mut repair_times: Vec<f64> = Vec::new();
+    for e in view.node_events() {
+        let i = e.node.as_usize();
+        match e.kind {
+            NodeEventKind::EnterRemediation if down_since[i].is_none() => {
+                down_since[i] = Some(e.at);
+            }
+            NodeEventKind::ExitRemediation => {
+                if let Some(start) = down_since[i].take() {
+                    let d = e.at.saturating_since(start);
+                    downtime[i] += d;
+                    repairs[i] += 1;
+                    repair_times.push(d.as_hours());
+                }
+            }
+            _ => {}
+        }
+    }
+    for (i, open) in down_since.iter().enumerate() {
+        if let Some(start) = open {
+            downtime[i] += horizon.saturating_since(*start);
+        }
+    }
+    let window = horizon.as_days().max(f64::MIN_POSITIVE);
+    let nodes: Vec<NodeAvailability> = (0..n)
+        .map(|i| NodeAvailability {
+            node: NodeId::new(i as u32),
+            repairs: repairs[i],
+            downtime: downtime[i],
+            availability: 1.0 - (downtime[i].as_days() / window).min(1.0),
+        })
+        .collect();
+    let stats: StreamingStats = repair_times.iter().copied().collect();
+    let mut sorted = repair_times;
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite repair times"));
+    let lost_node_days: f64 = nodes.iter().map(|a| a.downtime.as_days()).sum();
+    FleetAvailability {
+        nodes,
+        mttr_hours: stats.mean(),
+        mttr_p90_hours: quantile_sorted(&sorted, 0.90).unwrap_or(0.0),
+        fleet_availability: 1.0 - lost_node_days / (window * n.max(1) as f64),
+        lost_node_days,
+    }
+}
+
+/// Per-node rows and fleet readouts with every `f64` as its bits.
+type AvailabilityBits = (Vec<(u32, u32, SimDuration, u64)>, [u64; 4]);
+
+fn availability_bits(a: &FleetAvailability) -> AvailabilityBits {
+    (
+        a.nodes
+            .iter()
+            .map(|n| {
+                (
+                    n.node.index(),
+                    n.repairs,
+                    n.downtime,
+                    n.availability.to_bits(),
+                )
+            })
+            .collect(),
+        [
+            a.mttr_hours.to_bits(),
+            a.mttr_p90_hours.to_bits(),
+            a.fleet_availability.to_bits(),
+            a.lost_node_days.to_bits(),
+        ],
+    )
+}
+
+prop_compose! {
+    /// Random lifecycle streams: every event kind, on every node, in no
+    /// time order, some after the horizon; enters that repeat and exits
+    /// with no open visit.
+    fn arb_node_events()(
+        events in prop::collection::vec((0u32..FOLD_NODES, 0u64..FOLD_MINS, 0usize..9), 0..60),
+        horizon_mins in 0u64..FOLD_MINS,
+    ) -> (Vec<NodeEvent>, SimTime) {
+        let events = events
+            .into_iter()
+            .map(|(node, mins, kind)| NodeEvent {
+                node: NodeId::new(node),
+                at: SimTime::from_mins(mins),
+                kind: NodeEventKind::ALL[kind],
+            })
+            .collect();
+        (events, SimTime::from_mins(horizon_mins))
+    }
+}
+
+proptest! {
+    /// `compute_features` (the lemon fold) equals the per-stream batch
+    /// pass bit for bit, whatever the range.
+    #[test]
+    fn lemon_fold_matches_batch_oracle(scenario in arb_lemon_scenario()) {
+        let view = scenario.seal();
+        let (from, to) = (scenario.from, scenario.to);
+        prop_assert_eq!(
+            feature_bits(&compute_features(&view, from, to)),
+            feature_bits(&reference_features(&view, from, to))
+        );
+    }
+
+    /// The status-only rate fold equals the filtered count bit for bit.
+    #[test]
+    fn status_only_rate_fold_matches_batch_oracle(scenario in arb_scenario()) {
+        let view = scenario.seal();
+        for min_gpus in [0, 8, 128] {
+            prop_assert_eq!(
+                estimate_status_only_failure_rate(&view, min_gpus).to_bits(),
+                reference_status_only_rf(&view, min_gpus).to_bits()
+            );
+        }
+    }
+
+    /// `fleet_availability` (the remediation-visit fold) equals the
+    /// per-node batch pass bit for bit.
+    #[test]
+    fn availability_fold_matches_batch_oracle(stream in arb_node_events()) {
+        let (events, horizon) = stream;
+        let mut store = TelemetryStore::new("visits", FOLD_NODES);
+        for e in events {
+            store.push_node_event(e);
+        }
+        store.set_horizon(horizon);
+        let view = store.seal();
+        prop_assert_eq!(
+            availability_bits(&fleet_availability(&view)),
+            availability_bits(&reference_availability(&view))
+        );
+    }
 }

@@ -1,5 +1,5 @@
 //! Monitor configuration: estimator windows, the reference job for the
-//! continuous E[ETTR] readout, and the alerting policy.
+//! continuous E\[ETTR\] readout, and the alerting policy.
 
 use rsc_core::ettr::analytical::EttrParams;
 use rsc_core::lemon::LemonDetector;

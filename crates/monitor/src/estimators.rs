@@ -1,31 +1,36 @@
-//! Incremental estimators mirroring the batch analyses in `rsc-core`.
+//! The monitor's own estimators, fed one event at a time.
 //!
-//! Each estimator consumes events one at a time in O(1) amortized work and
-//! bounded memory, and is proven against its batch anchor by the agreement
-//! harness (`tests/agreement.rs`): counters and cumulative estimators
-//! reproduce the batch numbers *exactly* (same fold order, same float
-//! operations); windowed and histogram-backed estimators converge within
-//! pinned tolerances.
+//! The exact readouts are not computed here: cumulative MTTF points, the
+//! status-only failure rate, availability, MTTR and lost node-days, and the
+//! lemon features are `rsc-core` folds ([`MttfBuckets`],
+//! [`rsc_core::mttf::StreamingFailureRate`], [`RemediationVisits`],
+//! [`rsc_core::lemon::WindowedLemon`]) that the batch analyses run over a
+//! sealed view too, so streaming equals batch by construction. What stays
+//! here is what only an online consumer needs: arrival-order running
+//! totals, a rolling window, log-bucketed histograms, the detection-latency
+//! matcher and the event counters. Each works in O(1) amortized time per
+//! event and bounded memory.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use rsc_cluster::ids::NodeId;
-use rsc_core::mttf::{gamma_mttf_ci, power_of_two_bucket, MttfPoint};
+use rsc_core::attribution::is_failure_status;
+use rsc_core::availability::{AvailabilitySnapshot, RemediationVisits};
+use rsc_core::mttf::{MttfBuckets, MttfPoint};
 use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::JobStatus;
-use rsc_sim_core::stats::StreamingStats;
 use rsc_sim_core::time::{SimDuration, SimTime};
-use rsc_telemetry::store::{NodeEvent, NodeEventKind};
+use rsc_telemetry::store::NodeEvent;
 
-/// Cumulative MTTF per job-size bucket — the streaming twin of
-/// [`rsc_core::mttf::mttf_by_job_size`] with `FailureScope::AllFailures`.
+/// Cumulative MTTF per job-size bucket: the [`MttfBuckets`] fold that
+/// [`rsc_core::mttf::mttf_by_job_size`] runs with
+/// `FailureScope::AllFailures`, plus fleet-wide running totals.
 ///
-/// Per bucket it keeps only `(failures, exposure_hours)`; exposure
-/// accumulates in arrival order, which is the batch fold order, so
-/// [`points`](Self::points) equals the batch output bit-for-bit.
+/// The totals add each record's hours in arrival order, not bucket by
+/// bucket, and set the MTTF-regression alert's threshold.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingMttf {
-    buckets: BTreeMap<u32, (u64, f64)>,
+    buckets: MttfBuckets,
     total_failures: u64,
     total_exposure_hours: f64,
 }
@@ -38,46 +43,20 @@ impl StreamingMttf {
 
     /// Folds one terminal job record in.
     pub fn observe(&mut self, r: &JobRecord) {
+        let failed = is_failure_status(r.status);
+        self.buckets.observe(r, failed);
         if r.started_at.is_none() {
             return;
         }
-        let entry = self
-            .buckets
-            .entry(power_of_two_bucket(r.gpus))
-            .or_insert((0, 0.0));
-        let hours = r.runtime().as_hours();
-        entry.1 += hours;
-        self.total_exposure_hours += hours;
-        if matches!(
-            r.status,
-            JobStatus::Failed | JobStatus::NodeFail | JobStatus::Requeued
-        ) {
-            entry.0 += 1;
+        self.total_exposure_hours += r.runtime().as_hours();
+        if failed {
             self.total_failures += 1;
         }
     }
 
-    /// Current per-bucket estimates, identical to the batch computation
-    /// over the records observed so far.
+    /// Current per-bucket estimates over the records observed so far.
     pub fn points(&self) -> Vec<MttfPoint> {
-        self.buckets
-            .iter()
-            .filter(|(_, (_, exposure))| *exposure > 0.0)
-            .map(|(&gpus, &(failures, exposure_hours))| {
-                let mttf_hours = if failures > 0 {
-                    exposure_hours / failures as f64
-                } else {
-                    f64::INFINITY
-                };
-                MttfPoint {
-                    gpus,
-                    failures,
-                    exposure_hours,
-                    mttf_hours,
-                    ci90: gamma_mttf_ci(failures, exposure_hours, 0.90),
-                }
-            })
-            .collect()
+        self.buckets.points()
     }
 
     /// Fleet-wide cumulative MTTF across all buckets, hours
@@ -138,10 +117,7 @@ impl RollingMttf {
         if r.started_at.is_none() {
             return;
         }
-        let failed = matches!(
-            r.status,
-            JobStatus::Failed | JobStatus::NodeFail | JobStatus::Requeued
-        );
+        let failed = is_failure_status(r.status);
         let hours = r.runtime().as_hours();
         self.entries.push_back((r.ended_at, failed, hours));
         self.exposure_hours += hours;
@@ -194,56 +170,6 @@ impl RollingMttf {
             mttf_hours,
             ci90,
         })
-    }
-}
-
-/// Streaming status-only failure rate — the twin of
-/// [`rsc_core::mttf::estimate_status_only_failure_rate`], exact by
-/// construction (same fold order over the same records).
-#[derive(Debug, Clone)]
-pub struct StreamingFailureRate {
-    min_gpus: u32,
-    failures: u64,
-    node_days: f64,
-}
-
-impl StreamingFailureRate {
-    /// An empty estimator counting jobs with more than `min_gpus` GPUs.
-    pub fn new(min_gpus: u32) -> Self {
-        StreamingFailureRate {
-            min_gpus,
-            failures: 0,
-            node_days: 0.0,
-        }
-    }
-
-    /// Folds one terminal job record in.
-    pub fn observe(&mut self, r: &JobRecord) {
-        if r.gpus <= self.min_gpus {
-            return;
-        }
-        self.node_days += r.node_days();
-        if matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued) {
-            self.failures += 1;
-        }
-    }
-
-    /// Failures per node-day (0 before any exposure).
-    pub fn rate(&self) -> f64 {
-        if self.node_days <= 0.0 {
-            return 0.0;
-        }
-        self.failures as f64 / self.node_days
-    }
-
-    /// Infra failures counted so far.
-    pub fn failures(&self) -> u64 {
-        self.failures
-    }
-
-    /// Node-days of runtime accumulated so far.
-    pub fn node_days(&self) -> f64 {
-        self.node_days
     }
 }
 
@@ -337,94 +263,37 @@ impl LogHistogram {
     }
 }
 
-/// Per-node service state for the streaming availability estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AvailabilitySnapshot {
-    /// In-service node-time over total node-time up to the snapshot
-    /// instant — matches [`rsc_core::availability::fleet_availability`]
-    /// exactly when taken at the horizon.
-    pub fleet_availability: f64,
-    /// Mean time to repair across completed visits, hours (exact).
-    pub mttr_hours: f64,
-    /// Approximate 90th-percentile repair time, hours (log-histogram).
-    pub mttr_p90_hours: f64,
-    /// Capacity lost to remediation so far, node-days.
-    pub lost_node_days: f64,
-    /// Completed remediation visits.
-    pub completed_repairs: u64,
-    /// Remediation intervals still open.
-    pub open_intervals: u32,
-}
-
-/// Streaming fleet availability from the node lifecycle stream — the twin
-/// of [`rsc_core::availability::fleet_availability`], pairing
-/// `EnterRemediation`/`ExitRemediation` per node and charging open
-/// intervals to the snapshot instant.
+/// Fleet availability from the node lifecycle stream: the
+/// [`RemediationVisits`] fold that
+/// [`rsc_core::availability::fleet_availability`] runs, plus a
+/// time-to-repair histogram for the 90th percentile.
 #[derive(Debug, Clone)]
 pub struct StreamingAvailability {
-    down_since: Vec<Option<SimTime>>,
-    downtime: Vec<SimDuration>,
-    repairs: Vec<u32>,
-    repair_stats: StreamingStats,
+    visits: RemediationVisits,
     ttr: LogHistogram,
 }
 
 impl StreamingAvailability {
     /// An estimator for a fleet of `num_nodes`.
     pub fn new(num_nodes: u32) -> Self {
-        let n = num_nodes as usize;
         StreamingAvailability {
-            down_since: vec![None; n],
-            downtime: vec![SimDuration::ZERO; n],
-            repairs: vec![0; n],
-            repair_stats: StreamingStats::new(),
+            visits: RemediationVisits::new(num_nodes),
             ttr: LogHistogram::new(),
         }
     }
 
     /// Folds one node lifecycle event in.
     pub fn observe(&mut self, e: &NodeEvent) {
-        let i = e.node.as_usize();
-        if i >= self.down_since.len() {
-            return;
-        }
-        match e.kind {
-            NodeEventKind::EnterRemediation if self.down_since[i].is_none() => {
-                self.down_since[i] = Some(e.at);
-            }
-            NodeEventKind::ExitRemediation => {
-                if let Some(start) = self.down_since[i].take() {
-                    let d = e.at.saturating_since(start);
-                    self.downtime[i] += d;
-                    self.repairs[i] += 1;
-                    self.repair_stats.push(d.as_hours());
-                    self.ttr.record(d.as_hours());
-                }
-            }
-            _ => {}
+        if let Some(d) = self.visits.observe(e) {
+            self.ttr.record(d.as_hours());
         }
     }
 
-    /// Snapshot at `now`, charging open intervals up to `now`.
+    /// Snapshot at `now`, charging open intervals up to `now`; the p90
+    /// repair time comes from the log histogram.
     pub fn snapshot(&self, now: SimTime) -> AvailabilitySnapshot {
-        let n = self.down_since.len();
-        let window = now.as_days().max(f64::MIN_POSITIVE);
-        let lost_node_days: f64 = (0..n)
-            .map(|i| {
-                let open = self.down_since[i]
-                    .map(|start| now.saturating_since(start))
-                    .unwrap_or(SimDuration::ZERO);
-                (self.downtime[i] + open).as_days()
-            })
-            .sum();
-        AvailabilitySnapshot {
-            fleet_availability: 1.0 - lost_node_days / (window * n.max(1) as f64),
-            mttr_hours: self.repair_stats.mean(),
-            mttr_p90_hours: self.ttr.quantile(0.90).unwrap_or(0.0),
-            lost_node_days,
-            completed_repairs: self.repair_stats.count(),
-            open_intervals: self.down_since.iter().filter(|d| d.is_some()).count() as u32,
-        }
+        self.visits
+            .snapshot(now, self.ttr.quantile(0.90).unwrap_or(0.0))
     }
 
     /// The time-to-repair histogram (completed visits, hours).
@@ -551,6 +420,7 @@ mod tests {
     use super::*;
     use rsc_cluster::ids::JobId;
     use rsc_sched::job::QosClass;
+    use rsc_telemetry::store::NodeEventKind;
 
     fn record(gpus: u32, hours: u64, status: JobStatus) -> JobRecord {
         JobRecord {
@@ -604,17 +474,6 @@ mod tests {
         let est = r.estimate().unwrap();
         let (lo, hi) = est.ci90.unwrap();
         assert!(lo < est.mttf_hours && est.mttf_hours < hi, "{lo} {hi}");
-    }
-
-    #[test]
-    fn failure_rate_counts_only_large_infra() {
-        let mut f = StreamingFailureRate::new(8);
-        f.observe(&record(8, 24, JobStatus::NodeFail)); // at floor: excluded
-        f.observe(&record(16, 24, JobStatus::NodeFail));
-        f.observe(&record(16, 24, JobStatus::Completed));
-        assert_eq!(f.failures(), 1);
-        // Two 16-GPU (2-node) jobs for a day each → 4 node-days.
-        assert!((f.rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

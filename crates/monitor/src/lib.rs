@@ -5,20 +5,27 @@
 //! run has sealed its telemetry. This crate answers the same questions
 //! *while the run is happening*, the way a production observability stack
 //! would: a [`ReliabilityMonitor`] attaches to the
-//! [`rsc_sim::bus`] event stream and maintains bounded-memory incremental
-//! estimators —
+//! [`rsc_sim::bus`] event stream and feeds each event to bounded-memory
+//! incremental estimators. The exact readouts are the `rsc-core` folds
+//! the batch analyses run over a sealed view, fed live, so streaming
+//! equals batch by construction:
 //!
-//! - cumulative per-job-size MTTF with Gamma confidence intervals, an
-//!   exact streaming twin of [`rsc_core::mttf::mttf_by_job_size`];
-//! - a rolling-window MTTF with a moment-based interval, for regression
-//!   detection;
-//! - the status-only failure rate `r_f` and a continuously re-evaluated
-//!   analytic expected ETTR for a reference job (paper Eq. 1);
-//! - fleet availability, MTTR, and log-bucketed time-to-detect /
-//!   time-to-repair histograms;
+//! - cumulative per-job-size MTTF with Gamma confidence intervals
+//!   ([`rsc_core::mttf::MttfBuckets`], behind
+//!   [`rsc_core::mttf::mttf_by_job_size`]);
+//! - the status-only failure rate `r_f`
+//!   ([`rsc_core::mttf::StreamingFailureRate`]) and a continuously
+//!   re-evaluated analytic expected ETTR for a reference job (paper
+//!   Eq. 1);
+//! - fleet availability, MTTR and lost node-days
+//!   ([`rsc_core::availability::RemediationVisits`]);
 //! - windowed lemon scores over the paper's Table-II signals
-//!   ([`rsc_core::lemon`]);
+//!   ([`rsc_core::lemon::WindowedLemon`]).
 //!
+//! What only an online consumer needs lives here ([`estimators`]): the
+//! arrival-order MTTF totals that set the regression alert's threshold, a
+//! rolling-window MTTF with a moment-based interval, log-bucketed
+//! time-to-detect / time-to-repair histograms and the event counters;
 //! plus a typed, deduplicated alert pipeline ([`alerts`]) with
 //! raise/clear hysteresis and debounce.
 //!
@@ -29,10 +36,10 @@
 //! sealed snapshot). [`tap::MonitorTap`] streams the monitor's
 //! transitions either way; [`export`] renders its alert log and a view's
 //! control actions as CSV rows. The crate writes no files. The agreement
-//! tests in `tests/agreement.rs` pin streaming-vs-batch equality:
-//! counters and cumulative estimators match the batch analyses exactly;
-//! windowed and histogram-based readouts match within documented
-//! tolerances.
+//! tests in `tests/agreement.rs` pin that the live bus and the replay
+//! deliver every record: the exact readouts equal the batch analyses bit
+//! for bit, histogram-based readouts match within documented tolerances,
+//! and a live and a replayed report are equal.
 //!
 //! # Quickstart
 //!
@@ -58,7 +65,6 @@ pub mod alerts;
 pub mod config;
 pub mod estimators;
 pub mod export;
-pub mod lemon;
 pub mod monitor;
 pub mod replay;
 pub mod report;
@@ -67,10 +73,9 @@ pub mod tap;
 pub use alerts::{Alert, AlertEngine, AlertKey, AlertSignal};
 pub use config::{AlertPolicy, MonitorConfig, RefJob};
 pub use estimators::{
-    AvailabilitySnapshot, Counters, DetectionLatency, LogHistogram, RollingMttf,
-    RollingMttfEstimate, StreamingAvailability, StreamingFailureRate, StreamingMttf,
+    Counters, DetectionLatency, LogHistogram, RollingMttf, RollingMttfEstimate,
+    StreamingAvailability, StreamingMttf,
 };
-pub use lemon::WindowedLemon;
 pub use monitor::ReliabilityMonitor;
 pub use replay::replay_view;
 pub use report::{HistogramSummary, LemonSuspect, MonitorReport};

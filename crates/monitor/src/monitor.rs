@@ -6,17 +6,16 @@
 //! event sequence, so the end state is the same either way.
 
 use rsc_cluster::ids::NodeId;
-use rsc_core::lemon::LemonFeatures;
+use rsc_core::lemon::{with_zero_rows, LemonFeatures, WindowedLemon};
+use rsc_core::mttf::StreamingFailureRate;
 use rsc_sim::bus::{SimEvent, SimObserver};
 use rsc_sim_core::time::SimTime;
 
 use crate::alerts::{Alert, AlertEngine, AlertKey, AlertSignal};
 use crate::config::MonitorConfig;
 use crate::estimators::{
-    Counters, DetectionLatency, RollingMttf, StreamingAvailability, StreamingFailureRate,
-    StreamingMttf,
+    Counters, DetectionLatency, RollingMttf, StreamingAvailability, StreamingMttf,
 };
-use crate::lemon::{with_zero_rows, WindowedLemon};
 use crate::report::MonitorReport;
 
 /// The streaming reliability monitor.

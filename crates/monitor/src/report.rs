@@ -7,12 +7,13 @@
 //! dependency); non-finite floats serialize as `null`.
 
 use rsc_cluster::ids::NodeId;
+use rsc_core::availability::AvailabilitySnapshot;
 use rsc_core::lemon::LemonFeatures;
 use rsc_core::mttf::MttfPoint;
 use rsc_telemetry::json;
 
 use crate::alerts::Alert;
-use crate::estimators::{AvailabilitySnapshot, Counters, LogHistogram, RollingMttfEstimate};
+use crate::estimators::{Counters, LogHistogram, RollingMttfEstimate};
 use crate::monitor::ReliabilityMonitor;
 
 /// Five-number summary of a [`LogHistogram`].
@@ -67,7 +68,7 @@ pub struct MonitorReport {
     pub gpu_swaps: u64,
     /// Exact event counters.
     pub counters: Counters,
-    /// Cumulative per-job-size MTTF (exact twin of the batch analysis).
+    /// Cumulative per-job-size MTTF (the fold the batch analysis runs).
     pub mttf_points: Vec<MttfPoint>,
     /// Cumulative all-sizes MTTF, hours (infinite when no failures).
     pub overall_mttf_hours: f64,

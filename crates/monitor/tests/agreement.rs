@@ -2,7 +2,9 @@
 //!
 //! One simulated run, two analyses: the `rsc-monitor` streaming
 //! estimators fed live over the event bus, and the `rsc-core` batch
-//! analyses over the sealed telemetry view. The contract this file pins:
+//! analyses over the sealed telemetry view. The exact rows run one
+//! `rsc-core` fold both ways, so what this file checks is that the live
+//! bus delivers every record to it. The contract this file pins:
 //!
 //! - **exact** — counters, cumulative per-bucket MTTF (values *and*
 //!   confidence intervals), the status-only failure rate, the expected
@@ -14,7 +16,7 @@
 //!   reports, field for field.
 
 use rsc_core::availability::fleet_availability;
-use rsc_core::lemon::{compute_features, compute_windowed_features};
+use rsc_core::lemon::compute_features;
 use rsc_core::mttf::{estimate_status_only_failure_rate, mttf_by_job_size, FailureScope};
 use rsc_core::AttributionConfig;
 use rsc_monitor::config::MonitorConfig;
@@ -139,16 +141,16 @@ fn windowed_lemon_features_equal_batch_twin() {
     let window = config.lemon_window;
     let (monitor, view) = live_monitored(config);
     let horizon = view.horizon();
-    let twin = compute_windowed_features(&view, horizon, window);
+    let twin = compute_features(&view, horizon - window, horizon);
     assert_eq!(monitor.lemon_features(), twin);
     // The window is not vacuous: the full-range pass disagrees, so the
     // trailing view really dropped early-run signal.
     let full = compute_features(&view, SimTime::ZERO, horizon);
     assert_ne!(twin, full);
     // A window covering the whole run degenerates to the full range
-    // (the twin's lower bound saturates at time zero).
+    // (the lower bound saturates at time zero).
     assert_eq!(
-        compute_windowed_features(&view, horizon, SimDuration::from_days(DAYS)),
+        compute_features(&view, horizon - SimDuration::from_days(DAYS), horizon),
         full
     );
 }

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use rsc_cluster::gpu::XidError;
 use rsc_cluster::ids::{JobId, NodeId};
 use rsc_core::availability::fleet_availability;
-use rsc_core::lemon::LemonDetector;
+use rsc_core::lemon::{LemonDetector, WindowedLemon};
 use rsc_core::mttf::{estimate_status_only_failure_rate, mttf_by_job_size, FailureScope};
 use rsc_core::AttributionConfig;
 use rsc_failure::modes::Severity;
@@ -30,7 +30,6 @@ use rsc_health::check::CheckKind;
 use rsc_health::monitor::HealthEvent;
 use rsc_monitor::alerts::{Alert, AlertEngine, AlertKey, AlertSignal};
 use rsc_monitor::config::MonitorConfig;
-use rsc_monitor::lemon::WindowedLemon;
 use rsc_monitor::monitor::ReliabilityMonitor;
 use rsc_monitor::replay::replay_view;
 use rsc_monitor::report::LemonSuspect;

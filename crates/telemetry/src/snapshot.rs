@@ -55,6 +55,9 @@ use std::fmt;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
+use std::slice;
+
+use rsc_cluster::ids::NodeId;
 
 use rsc_sim_core::time::SimTime;
 
@@ -518,6 +521,25 @@ fn read_section<R: BufRead, T: ChainRecord>(
     }
 }
 
+/// `decode`, refusing a row that names a node at or above the header's
+/// `num_nodes`: every per-node analysis indexes a fleet-sized array by it.
+fn in_fleet<T>(
+    num_nodes: u32,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+    nodes: impl Fn(&T) -> &[NodeId],
+) -> impl Fn(&[u8]) -> Result<T, String> {
+    move |row| {
+        let record = decode(row)?;
+        match nodes(&record).iter().find(|n| n.index() >= num_nodes) {
+            Some(n) => Err(format!(
+                "node {} outside the header's {num_nodes} nodes",
+                n.index()
+            )),
+            None => Ok(record),
+        }
+    }
+}
+
 /// Reads a snapshot (any supported version) into a sealed view.
 ///
 /// The view is built straight from the decoded streams: every record is
@@ -540,8 +562,8 @@ fn read_section<R: BufRead, T: ChainRecord>(
 ///
 /// Returns [`SnapshotError::Parse`] with the 1-based line number on any
 /// malformed, truncated or non-canonical input (a sign, a leading zero, a
-/// `\r`, a non-UTF-8 byte, a number too large for its field) — never
-/// panics — and [`SnapshotError::Io`] only if the reader fails. Framed
+/// `\r`, a non-UTF-8 byte, a number too large for its field, a node id
+/// at or above the header's node count) — never panics — and [`SnapshotError::Io`] only if the reader fails. Framed
 /// inputs are chain-verified frame by frame; any checkpoint mismatch is a
 /// [`SnapshotError::Chain`]. Unknown versions and v2 vocabulary inside a
 /// v1 snapshot are rejected.
@@ -582,30 +604,48 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
     };
     // The verified heads of the framed sections present, in file order.
     let mut heads = Vec::new();
-    let jobs = read_section(&mut lines, "jobs", frame_rows, &mut heads, rows::decode_job)?;
+    let jobs = read_section(
+        &mut lines,
+        "jobs",
+        frame_rows,
+        &mut heads,
+        in_fleet(num_nodes, rows::decode_job, |r| &r.nodes),
+    )?;
     let health_events = read_section(
         &mut lines,
         "health",
         frame_rows,
         &mut heads,
-        rows::decode_health,
+        in_fleet(num_nodes, rows::decode_health, |e| slice::from_ref(&e.node)),
     )?;
-    let node_events = read_section(&mut lines, "node_events", frame_rows, &mut heads, |row| {
-        rows::decode_node_event(row, version)
-    })?;
+    let node_events = read_section(
+        &mut lines,
+        "node_events",
+        frame_rows,
+        &mut heads,
+        in_fleet(
+            num_nodes,
+            |row| rows::decode_node_event(row, version),
+            |e| slice::from_ref(&e.node),
+        ),
+    )?;
     let exclusions = read_section(
         &mut lines,
         "exclusions",
         frame_rows,
         &mut heads,
-        rows::decode_exclusion,
+        in_fleet(num_nodes, rows::decode_exclusion, |e| {
+            slice::from_ref(&e.node)
+        }),
     )?;
     let failures = read_section(
         &mut lines,
         "failures",
         frame_rows,
         &mut heads,
-        rows::decode_failure,
+        in_fleet(num_nodes, rows::decode_failure, |e| {
+            slice::from_ref(&e.node)
+        }),
     )?;
     let ckpt_fallbacks = if version >= 2 {
         read_section(
@@ -624,7 +664,9 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
             "control_actions",
             frame_rows,
             &mut heads,
-            rows::decode_control_action,
+            in_fleet(num_nodes, rows::decode_control_action, |e| {
+                e.node.as_slice()
+            }),
         )?
     } else {
         Vec::new()

@@ -12,7 +12,8 @@
 //! decoder that truncated them would hand the chain the original value,
 //! and the forged bytes would read as the original view. Every read here
 //! also checks the re-encode property (`common`): an input the reader
-//! accepts is the writer's own spelling of it.
+//! accepts is the writer's own spelling of it. A row naming a node at or
+//! above the header's node count fails typed too, chain-valid or not.
 //!
 //! [`GENESIS`]: rsc_telemetry::GENESIS
 
@@ -453,6 +454,99 @@ fn forged_out_of_range_trace_fields_fail_typed() {
                 assert!(e.message.contains(&format!("bad {what}")), "{e}");
             }
             Ok(back) => panic!("trace field {field} past u32::MAX read as {back:?}"),
+        }
+    }
+}
+
+/// [`every_stream_view`] declared as a fleet of 6 nodes, so its nodes 4
+/// and 5 are the fleet's last two, with the record of `section` naming
+/// node 6 as well (a job gains it, every other row moves to it).
+fn stray_node_view(section: &str) -> TelemetryView {
+    let view = every_stream_view();
+    let stray = NodeId::new(6);
+    let node = |own: &str, n: NodeId| if own == section { stray } else { n };
+    let mut store = TelemetryStore::new("stray", 6);
+    store.set_horizon(view.horizon());
+    store.extend_jobs(view.jobs().iter().cloned().map(|mut r| {
+        if section == "jobs" {
+            r.nodes.push(stray);
+        }
+        r
+    }));
+    for &e in view.health_events() {
+        let node = node("health", e.node);
+        store.push_health_event(HealthEvent { node, ..e });
+    }
+    for &e in view.node_events() {
+        let node = node("node_events", e.node);
+        store.push_node_event(NodeEvent { node, ..e });
+    }
+    for &e in view.exclusions() {
+        let node = node("exclusions", e.node);
+        store.push_exclusion(ExclusionEvent { node, ..e });
+    }
+    for &e in view.ground_truth_failures() {
+        let node = node("failures", e.node);
+        store.push_ground_truth(FailureEvent { node, ..e });
+    }
+    for &e in view.ckpt_fallbacks() {
+        store.push_ckpt_fallback(e);
+    }
+    for &e in view.control_actions() {
+        let node = e.node.map(|n| node("control_actions", n));
+        store.push_control_action(ControlActionEvent { node, ..e });
+    }
+    store.seal()
+}
+
+/// A row naming a node at or above the header's node count is a typed
+/// parse error at that row, in every node-bearing field and both
+/// layouts, even though every checkpoint matches: the per-node analyses
+/// index fleet-sized arrays by node id, so such an artifact must not
+/// load. The fleet's last node is accepted.
+#[test]
+fn node_ids_past_the_header_fail_typed() {
+    let inside = stray_node_view("none");
+    read_snapshot(snapshot_bytes(&inside, 4).as_slice()).expect("nodes 4 and 5 of 6");
+    for section in [
+        "jobs",
+        "health",
+        "node_events",
+        "exclusions",
+        "failures",
+        "control_actions",
+    ] {
+        let view = stray_node_view(section);
+        let mut legacy = Vec::new();
+        write_snapshot_legacy(&mut legacy, &view).expect("in-memory write");
+        for (layout, bytes) in [("framed", snapshot_bytes(&view, 4)), ("legacy", legacy)] {
+            // The legacy (v2) layout has no control_actions section.
+            if layout == "legacy" && section == "control_actions" {
+                continue;
+            }
+            let lines = to_lines(&bytes);
+            let header = lines
+                .iter()
+                .position(|l| l.starts_with(&format!("{section} ")))
+                .expect("section header");
+            let row = if layout == "framed" {
+                header + 3
+            } else {
+                header + 2
+            };
+            match read_snapshot(bytes.as_slice()) {
+                Err(SnapshotError::Parse { line, message }) => {
+                    assert_eq!(line, row, "{layout} {section}: {message}");
+                    assert!(
+                        message.contains("node 6 outside the header's 6 nodes"),
+                        "{layout} {section}: {message}"
+                    );
+                }
+                other => panic!(
+                    "{layout} {section} node past the header not rejected: {:?}",
+                    other.map(|_| ())
+                ),
+            }
         }
     }
 }

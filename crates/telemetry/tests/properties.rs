@@ -228,12 +228,18 @@ proptest! {
         exclusions in prop::collection::vec(arb_exclusion(), 0..20),
         failures in prop::collection::vec(arb_failure(), 0..20),
     ) {
+        // The reader refuses a node id at or above the header's count, so
+        // every drawn id folds into the fleet.
+        let fleet = |node: NodeId| NodeId::new(node.index() % num_nodes);
         let mut store = TelemetryStore::new(&name, num_nodes);
-        store.extend_jobs(jobs);
-        for e in health { store.push_health_event(e); }
-        for e in node_events { store.push_node_event(e); }
-        for e in exclusions { store.push_exclusion(e); }
-        for e in failures { store.push_ground_truth(e); }
+        store.extend_jobs(jobs.into_iter().map(|mut r| {
+            r.nodes.iter_mut().for_each(|n| *n = fleet(*n));
+            r
+        }));
+        for e in health { store.push_health_event(HealthEvent { node: fleet(e.node), ..e }); }
+        for e in node_events { store.push_node_event(NodeEvent { node: fleet(e.node), ..e }); }
+        for e in exclusions { store.push_exclusion(ExclusionEvent { node: fleet(e.node), ..e }); }
+        for e in failures { store.push_ground_truth(FailureEvent { node: fleet(e.node), ..e }); }
         store.set_horizon(SimTime::from_secs(horizon));
         store.set_gpu_swaps(gpu_swaps);
         let view = store.seal();

@@ -179,6 +179,13 @@ fn edge_u32(raw: u32, pick: u8) -> u32 {
     }
 }
 
+/// A node id: `raw`, 0, or the largest id a fleet can hold. The snapshot
+/// reader refuses an id at or above the header's node count, and
+/// [`Streams::seal`] declares a fleet of `u32::MAX` nodes.
+fn edge_node(raw: u32, pick: u8) -> NodeId {
+    NodeId::new(edge_u32(raw, pick).min(u32::MAX - 1))
+}
+
 fn arb_signal(idx: u8, code: u16) -> SignalKind {
     const NAMED: [XidError; 6] = [
         XidError::DoubleBitEcc,
@@ -226,7 +233,7 @@ prop_compose! {
             run: run.map(|(v, p)| JobRunId::new(edge_u64(v, p))),
             gpus: edge_u32(gpus.0, gpus.1),
             qos: [QosClass::Low, QosClass::Normal, QosClass::High][qos_idx],
-            nodes: nodes.into_iter().map(|(v, p)| NodeId::new(edge_u32(v, p))).collect(),
+            nodes: nodes.into_iter().map(|(v, p)| edge_node(v, p)).collect(),
             enqueued_at: SimTime::from_secs(edge_u64(times.0, times.1)),
             started_at: started.map(|(v, p)| SimTime::from_secs(edge_u64(v, p))),
             ended_at: SimTime::from_secs(edge_u64(times.2, times.3)),
@@ -248,7 +255,7 @@ prop_compose! {
     ) -> HealthEvent {
         HealthEvent {
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
-            node: NodeId::new(edge_u32(node.0, node.1)),
+            node: edge_node(node.0, node.1),
             check: CheckKind::ALL[check_idx],
             severity: if high { Severity::High } else { Severity::Low },
             signal: signal.map(|(idx, code)| arb_signal(idx, code)),
@@ -264,7 +271,7 @@ prop_compose! {
         kind_idx in 0usize..NodeEventKind::ALL.len(),
     ) -> NodeEvent {
         NodeEvent {
-            node: NodeId::new(edge_u32(node.0, node.1)),
+            node: edge_node(node.0, node.1),
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
             kind: NodeEventKind::ALL[kind_idx],
         }
@@ -278,7 +285,7 @@ prop_compose! {
         job in (any::<u64>(), any::<u8>()),
     ) -> ExclusionEvent {
         ExclusionEvent {
-            node: NodeId::new(edge_u32(node.0, node.1)),
+            node: edge_node(node.0, node.1),
             job: JobId::new(edge_u64(job.0, job.1)),
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
         }
@@ -295,7 +302,7 @@ prop_compose! {
     ) -> FailureEvent {
         FailureEvent {
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
-            node: NodeId::new(edge_u32(node.0, node.1)),
+            node: edge_node(node.0, node.1),
             mode: ModeId(edge_u64(mode.0, mode.1) as usize),
             symptom: FailureSymptom::ALL[symptom_idx],
             permanent,
@@ -335,7 +342,7 @@ prop_compose! {
             at: SimTime::from_secs(edge_u64(at.0, at.1)),
             kind: ControlActionKind::ALL[kind_idx],
             trigger: ControlTrigger::ALL[trigger_idx],
-            node: node.map(|(v, p)| NodeId::new(edge_u32(v, p))),
+            node: node.map(|(v, p)| edge_node(v, p)),
             job: job.map(|(v, p)| JobId::new(edge_u64(v, p))),
             accepted,
             value: edge_u64(value.0, value.1),
@@ -357,7 +364,7 @@ struct Streams {
 
 impl Streams {
     fn seal(&self) -> TelemetryView {
-        let mut store = TelemetryStore::new("parity", 64);
+        let mut store = TelemetryStore::new("parity", u32::MAX);
         store.set_horizon(SimTime::from_days(30));
         store.set_gpu_swaps(3);
         store.extend_jobs(self.jobs.iter().cloned());
