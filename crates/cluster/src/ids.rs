@@ -41,6 +41,94 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// The nodes of one job allocation, in allocation order: one node inline,
+/// any other count boxed.
+///
+/// Nearly every job record (95% of the pinned RSC months) holds exactly one
+/// node, so the common record costs no heap allocation. The list is 16
+/// bytes, a boxed slice's size: the inline node sits beside the box's
+/// never-null pointer. It derefs to `&[NodeId]`, and equality and `Debug`
+/// are the slice's, so its `Debug` text is a `Vec`'s.
+///
+/// ```
+/// use rsc_cluster::ids::{NodeId, NodeList};
+///
+/// let one = NodeList::one(NodeId::new(3));
+/// assert_eq!(*one, [NodeId::new(3)]);
+/// let two: NodeList = [NodeId::new(1), NodeId::new(2)].into_iter().collect();
+/// assert_eq!(format!("{two:?}"), format!("{:?}", vec![NodeId::new(1), NodeId::new(2)]));
+/// ```
+#[derive(Clone)]
+pub struct NodeList(NodeRepr);
+
+#[derive(Clone)]
+enum NodeRepr {
+    One(NodeId),
+    Many(Box<[NodeId]>),
+}
+
+impl NodeList {
+    /// A one-node list; allocates nothing.
+    pub const fn one(node: NodeId) -> Self {
+        NodeList(NodeRepr::One(node))
+    }
+}
+
+impl Default for NodeList {
+    /// The empty list (an attempt that never started); allocates nothing.
+    fn default() -> Self {
+        NodeList(NodeRepr::Many(Box::default()))
+    }
+}
+
+impl From<Vec<NodeId>> for NodeList {
+    /// Takes the vector's buffer as is, or drops it for a one-node list.
+    fn from(nodes: Vec<NodeId>) -> Self {
+        match *nodes {
+            [node] => NodeList::one(node),
+            _ => NodeList(NodeRepr::Many(nodes.into_boxed_slice())),
+        }
+    }
+}
+
+impl FromIterator<NodeId> for NodeList {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl std::ops::Deref for NodeList {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        match &self.0 {
+            NodeRepr::One(node) => std::slice::from_ref(node),
+            NodeRepr::Many(nodes) => nodes,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a NodeList {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for NodeList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for NodeList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Identifier of a GPU: the owning node plus the local GPU slot (0–7 on a
 /// DGX A100 server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -180,6 +268,30 @@ mod tests {
         assert!(NodeId::new(1) < NodeId::new(2));
         assert!(GpuId::new(NodeId::new(0), 1) < GpuId::new(NodeId::new(0), 2));
         assert!(GpuId::new(NodeId::new(0), 7) < GpuId::new(NodeId::new(1), 0));
+    }
+
+    fn nodes(n: u32) -> Vec<NodeId> {
+        (0..n).map(|i| NodeId::new(i * 7 + 1)).collect()
+    }
+
+    #[test]
+    fn node_list_derefs_to_the_vec_slice() {
+        for n in [0, 1, 2, 300] {
+            let v = nodes(n);
+            let from_vec = NodeList::from(v.clone());
+            let collected: NodeList = v.iter().copied().collect();
+            assert_eq!(*from_vec, *v, "{n} nodes");
+            assert_eq!(*collected, *v, "{n} nodes");
+            assert_eq!(from_vec, collected);
+            assert_eq!(format!("{from_vec:?}"), format!("{v:?}"), "{n} nodes");
+            assert_eq!((&from_vec).into_iter().count(), n as usize);
+        }
+        assert_eq!(NodeList::default().len(), 0);
+        assert_eq!(
+            NodeList::one(NodeId::new(5)),
+            NodeList::from(vec![NodeId::new(5)])
+        );
+        assert_ne!(NodeList::one(NodeId::new(5)), NodeList::from(nodes(2)));
     }
 
     #[test]

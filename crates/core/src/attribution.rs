@@ -269,7 +269,7 @@ mod tests {
             run: None,
             gpus: 8,
             qos: QosClass::Normal,
-            nodes: vec![NodeId::new(node)],
+            nodes: vec![NodeId::new(node)].into(),
             enqueued_at: SimTime::ZERO,
             started_at: Some(SimTime::from_hours(1)),
             ended_at: SimTime::from_hours(end_hours),

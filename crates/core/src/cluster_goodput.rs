@@ -107,7 +107,7 @@ mod tests {
             run: None,
             gpus,
             qos: QosClass::Normal,
-            nodes: vec![NodeId::new(0)],
+            nodes: vec![NodeId::new(0)].into(),
             enqueued_at: SimTime::ZERO,
             started_at: Some(SimTime::ZERO),
             ended_at: SimTime::from_hours(hours),

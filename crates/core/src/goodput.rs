@@ -129,7 +129,7 @@ mod tests {
             run: None,
             gpus,
             qos: QosClass::Normal,
-            nodes: vec![NodeId::new(0)],
+            nodes: vec![NodeId::new(0)].into(),
             enqueued_at: SimTime::ZERO,
             started_at: Some(SimTime::from_hours(1)),
             ended_at: SimTime::from_hours(1) + SimDuration::from_mins(runtime_mins),

@@ -99,8 +99,11 @@ const BLAME_AFTER: SimDuration = SimDuration::from_mins(5);
 /// online monitor share this one implementation.
 ///
 /// Per-call work is proportional to the window's content, not to fleet
-/// size: [`WindowedLemon::signalled`] builds rows only for nodes with
-/// in-window signal, and nothing is allocated per node up front.
+/// size, and nothing is allocated per node up front:
+/// [`WindowedLemon::signalled`] builds rows only for nodes with in-window
+/// signal. Started single-node jobs, by far the largest stream, are also
+/// counted per node as they enter and leave the window, so a call visits
+/// each node that ran one once, not each job.
 #[derive(Debug, Clone)]
 pub struct WindowedLemon {
     window: SimDuration,
@@ -115,8 +118,8 @@ pub struct WindowedLemon {
     /// `EnterRemediation`/`Drain`, kept only as long as a pending job could
     /// still need it.
     implication: VecDeque<(SimTime, u32)>,
-    /// `(ended_at, node, infra_failed)` for started single-node jobs.
-    singles: VecDeque<(SimTime, u32, bool)>,
+    /// Started single-node jobs, with running per-node counts.
+    singles: SingleJobs,
     /// `(ended_at, blamed nodes)` for resolved multi-node infra failures.
     multis: VecDeque<(SimTime, Vec<u32>)>,
     /// Multi-node infra failures awaiting blame-window close.
@@ -133,7 +136,7 @@ impl WindowedLemon {
             xids: VecDeque::new(),
             lifecycle: VecDeque::new(),
             implication: VecDeque::new(),
-            singles: VecDeque::new(),
+            singles: SingleJobs::default(),
             multis: VecDeque::new(),
             pending: VecDeque::new(),
         }
@@ -146,8 +149,7 @@ impl WindowedLemon {
         }
         let infra = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued);
         if r.nodes.len() == 1 {
-            self.singles
-                .push_back((r.ended_at, r.nodes[0].index(), infra));
+            self.singles.push(r.ended_at, r.nodes[0].index(), infra);
         } else if infra {
             self.pending
                 .push_back((r.ended_at, r.nodes.iter().map(|n| n.index()).collect()));
@@ -243,7 +245,7 @@ impl WindowedLemon {
         Self::evict_ring(&mut self.exclusions, now, w, |e| e.0);
         Self::evict_ring(&mut self.xids, now, w, |e| e.0);
         Self::evict_ring(&mut self.lifecycle, now, w, |e| e.0);
-        Self::evict_ring(&mut self.singles, now, w, |e| e.0);
+        self.singles.evict(now, w);
         Self::evict_ring(&mut self.multis, now, w, |e| e.0);
         Self::evict_ring(&mut self.implication, now, SimDuration::from_days(2), |e| {
             e.0
@@ -324,15 +326,10 @@ impl WindowedLemon {
             }
         }
 
-        for &(ended_at, node, infra) in &self.singles {
-            if !in_window(ended_at) {
-                continue;
-            }
+        for (node, started, fails) in self.singles.in_window(now, self.window) {
             let i = rows.index(node);
-            rows.single_totals[i] += 1;
-            if infra {
-                rows.features[i].single_node_node_fails += 1;
-            }
+            rows.single_totals[i] = started;
+            rows.features[i].single_node_node_fails = fails;
         }
         for (ended_at, blamed) in &self.multis {
             if !in_window(*ended_at) {
@@ -396,6 +393,97 @@ fn implicated(evidence: &[(u32, SimTime)], node: u32, end: SimTime) -> bool {
     evidence
         .get(i)
         .is_some_and(|&(n, t)| n == node && t <= end + BLAME_AFTER)
+}
+
+/// Single-node job count of one node: `(node, started, infra_failed)`.
+type SingleCount = (u32, u32, u32);
+
+/// The `(ended_at, node, infra_failed)` ring of started single-node jobs,
+/// plus running per-node counts of its entries, updated on push and evict.
+///
+/// [`Self::in_window`] reads the counts and corrects them exactly for the
+/// entries outside the window: those that end after `now`, and those older
+/// than the window but not evicted (a batch fold never evicts). While the
+/// ring is in `ended_at` order these are a prefix and a suffix, found by
+/// binary search; a ring with an entry pushed out of order is walked whole.
+#[derive(Debug, Clone, Default)]
+struct SingleJobs {
+    ring: VecDeque<(SimTime, u32, bool)>,
+    /// Adjacent ring entries out of `ended_at` order (0: sorted).
+    disorder: usize,
+    /// `counts` index plus one per node (0: none); grown on demand to the
+    /// highest node pushed.
+    slot: Vec<u32>,
+    /// One entry per node with a job in the ring, in no order.
+    counts: Vec<SingleCount>,
+}
+
+impl SingleJobs {
+    fn push(&mut self, ended_at: SimTime, node: u32, infra: bool) {
+        if self.ring.back().is_some_and(|b| b.0 > ended_at) {
+            self.disorder += 1;
+        }
+        self.ring.push_back((ended_at, node, infra));
+        let n = node as usize;
+        if n >= self.slot.len() {
+            self.slot.resize(n + 1, 0);
+        }
+        if self.slot[n] == 0 {
+            self.counts.push((node, 0, 0));
+            self.slot[n] = self.counts.len() as u32;
+        }
+        let c = &mut self.counts[self.slot[n] as usize - 1];
+        c.1 += 1;
+        c.2 += u32::from(infra);
+    }
+
+    /// Pops the entries older than `window` behind `now` off the front.
+    fn evict(&mut self, now: SimTime, window: SimDuration) {
+        while let Some(&(at, node, infra)) = self.ring.front() {
+            if now.saturating_since(at) <= window {
+                break;
+            }
+            self.ring.pop_front();
+            if self.ring.front().is_some_and(|f| at > f.0) {
+                self.disorder -= 1;
+            }
+            let i = self.slot[node as usize] as usize - 1;
+            let c = &mut self.counts[i];
+            c.1 -= 1;
+            c.2 -= u32::from(infra);
+            if c.1 == 0 {
+                self.slot[node as usize] = 0;
+                self.counts.swap_remove(i);
+                if let Some(&(moved, ..)) = self.counts.get(i) {
+                    self.slot[moved as usize] = i as u32 + 1;
+                }
+            }
+        }
+    }
+
+    /// The counts of the entries in `[now − window, now]`, nodes with none
+    /// left out, in no order.
+    fn in_window(&self, now: SimTime, window: SimDuration) -> Vec<SingleCount> {
+        let outside = |at: SimTime| at > now || now.saturating_since(at) > window;
+        let mut counts = self.counts.clone();
+        let mut take = |&(_, node, infra): &(SimTime, u32, bool)| {
+            let c = &mut counts[self.slot[node as usize] as usize - 1];
+            c.1 -= 1;
+            c.2 -= u32::from(infra);
+        };
+        if self.disorder == 0 {
+            let old = self
+                .ring
+                .partition_point(|e| now.saturating_since(e.0) > window);
+            let late = self.ring.partition_point(|e| e.0 <= now);
+            self.ring.range(..old).for_each(&mut take);
+            self.ring.range(late..).for_each(&mut take);
+        } else {
+            self.ring.iter().filter(|e| outside(e.0)).for_each(take);
+        }
+        counts.retain(|c| c.1 > 0);
+        counts
+    }
 }
 
 /// Feature rows created on first touch. `slot` maps a node to its row plus

@@ -91,7 +91,7 @@ mod tests {
             run: None,
             gpus,
             qos,
-            nodes: vec![NodeId::new(0)],
+            nodes: vec![NodeId::new(0)].into(),
             enqueued_at: SimTime::ZERO,
             started_at: Some(SimTime::from_hours(wait_hours)),
             ended_at: SimTime::from_hours(wait_hours + 2),

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashSet};
 use proptest::prelude::*;
 
 use rsc_cluster::gpu::XidError;
-use rsc_cluster::ids::{JobId, JobRunId, NodeId};
+use rsc_cluster::ids::{JobId, JobRunId, NodeId, NodeList};
 use rsc_core::attribution::{
     attribute_failures, is_failure_status, primary_cause, Attribution, AttributionConfig,
 };
@@ -14,7 +14,7 @@ use rsc_core::ettr::analytical::{expected_ettr, expected_ettr_simplified, EttrPa
 use rsc_core::ettr::jobrun::{ettr_by_size_bucket, reconstruct_job_runs, JobRun};
 use rsc_core::ettr::requirements::max_coupled_interval_mins;
 use rsc_core::goodput::{goodput_loss, GoodputLoss, GoodputLossPoint};
-use rsc_core::lemon::{compute_features, LemonFeatures};
+use rsc_core::lemon::{compute_features, LemonFeatures, WindowedLemon};
 use rsc_core::mttf::{
     estimate_node_failure_rate, estimate_status_only_failure_rate, gamma_mttf_ci, mttf_by_job_size,
     power_of_two_bucket, round_up_to_server, size_bucket, FailureScope, MttfPoint, MttfProjection,
@@ -233,7 +233,7 @@ prop_compose! {
             run: run.map(JobRunId::new),
             gpus: gpus * 8,
             qos: [QosClass::Low, QosClass::Normal, QosClass::High][qos_idx as usize],
-            nodes: Vec::new(),
+            nodes: Default::default(),
             enqueued_at: SimTime::from_hours(enq),
             started_at,
             ended_at: started_at.unwrap_or(SimTime::from_hours(enq))
@@ -283,7 +283,7 @@ prop_compose! {
             run: run.map(|r| JobRunId::new(r << (8 * run_shift))),
             gpus: gpus_raw << gpus_shift,
             qos: QosClass::ALL[attempt as usize],
-            nodes: Vec::new(),
+            nodes: Default::default(),
             enqueued_at: SimTime::from_hours(enq),
             started_at,
             ended_at: started_at.unwrap_or(SimTime::from_hours(enq))
@@ -695,7 +695,7 @@ fn bucket_helpers_are_total_at_u32_max() {
             run: None,
             gpus,
             qos: QosClass::High,
-            nodes: vec![NodeId::new(0)],
+            nodes: vec![NodeId::new(0)].into(),
             enqueued_at: SimTime::ZERO,
             started_at: Some(SimTime::ZERO),
             ended_at: SimTime::from_hours(48),
@@ -1129,5 +1129,126 @@ proptest! {
             availability_bits(&fleet_availability(&view)),
             availability_bits(&reference_availability(&view))
         );
+    }
+}
+
+/// One step of a single-node job stream through a lemon fold.
+#[derive(Debug, Clone, Copy)]
+enum SingleOp {
+    /// A started single-node job ends on `node`.
+    Job { node: u32, at: SimTime, infra: bool },
+    /// The fold evicts behind `now`.
+    Evict(SimTime),
+    /// The fold's single-node features are read at `now`.
+    Read(SimTime),
+}
+
+prop_compose! {
+    /// A window and a stream of job ends, evictions and reads. The clock
+    /// advances; none, a quarter or half of the job ends land anywhere
+    /// (out of order), some reads come before the newest end, and a batch
+    /// stream never evicts, where a live one evicts before most reads.
+    fn arb_single_ops()(
+        window_mins in 0u64..FOLD_MINS / 2,
+        batch in any::<bool>(),
+        scatter in 0u8..3,
+        steps in prop::collection::vec(
+            (0u8..10, 0u32..FOLD_NODES, 0u64..180, 0u64..FOLD_MINS, 0u8..4), 0..80),
+    ) -> (SimDuration, Vec<SingleOp>) {
+        let mut clock = 0;
+        let mut ops = Vec::new();
+        for (kind, node, step, anywhere, detail) in steps {
+            clock += step;
+            let now = SimTime::from_mins(clock);
+            match kind {
+                0..=5 => ops.push(SingleOp::Job {
+                    node,
+                    at: if detail < scatter { SimTime::from_mins(anywhere) } else { now },
+                    infra: detail % 2 == 1,
+                }),
+                6 | 7 if !batch => {
+                    ops.push(SingleOp::Evict(now));
+                    ops.push(SingleOp::Read(now));
+                }
+                8 if !batch => ops.push(SingleOp::Evict(SimTime::from_mins(anywhere))),
+                _ => ops.push(SingleOp::Read(if detail == 0 {
+                    SimTime::from_mins(anywhere)
+                } else {
+                    now
+                })),
+            }
+        }
+        (SimDuration::from_mins(window_mins), ops)
+    }
+}
+
+/// The scan `WindowedLemon::signalled` made over its single-node jobs
+/// before it kept running counts: each ring entry tested against the
+/// window, node by node rows, rate from the two counts.
+fn reference_single_features(
+    ring: &std::collections::VecDeque<(SimTime, u32, bool)>,
+    now: SimTime,
+    window: SimDuration,
+) -> Vec<LemonFeatures> {
+    let mut per_node: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
+    for &(at, node, infra) in ring {
+        if at <= now && now.saturating_since(at) <= window {
+            let c = per_node.entry(node).or_default();
+            c.0 += 1;
+            c.1 += u32::from(infra);
+        }
+    }
+    per_node
+        .into_iter()
+        .map(|(node, (total, fails))| LemonFeatures {
+            single_node_node_fails: fails,
+            single_node_node_failure_rate: fails as f64 / total as f64,
+            ..LemonFeatures::new(NodeId::new(node))
+        })
+        .collect()
+}
+
+proptest! {
+    /// `signalled`'s running single-node counts equal the old per-entry
+    /// scan bit for bit, for entries out of order, reads before the newest
+    /// end, windows that never evict and live evict/read sequences.
+    #[test]
+    fn single_node_counts_match_ring_scan(stream in arb_single_ops()) {
+        let (window, ops) = stream;
+        let mut fold = WindowedLemon::new(FOLD_NODES, window);
+        let mut ring = std::collections::VecDeque::new();
+        for op in ops {
+            match op {
+                SingleOp::Job { node, at, infra } => {
+                    fold.observe_job(&JobRecord {
+                        job: JobId::new(1),
+                        attempt: 0,
+                        run: None,
+                        gpus: 8,
+                        qos: QosClass::Normal,
+                        nodes: NodeList::one(NodeId::new(node)),
+                        enqueued_at: SimTime::ZERO,
+                        started_at: Some(SimTime::ZERO),
+                        ended_at: at,
+                        status: if infra { JobStatus::NodeFail } else { JobStatus::Completed },
+                        preempted_by: None,
+                        instigator: None,
+                    });
+                    ring.push_back((at, node, infra));
+                }
+                SingleOp::Evict(now) => {
+                    fold.evict(now);
+                    while ring.front().is_some_and(|e: &(SimTime, u32, bool)| {
+                        now.saturating_since(e.0) > window
+                    }) {
+                        ring.pop_front();
+                    }
+                }
+                SingleOp::Read(now) => prop_assert_eq!(
+                    feature_bits(&fold.signalled(now)),
+                    feature_bits(&reference_single_features(&ring, now, window))
+                ),
+            }
+        }
     }
 }

@@ -94,7 +94,7 @@ fn synthetic_view(jobs: &[JobCase], visits: &[VisitCase]) -> TelemetryView {
             run: None,
             gpus: 1 + gpus % 64,
             qos: QosClass::Normal,
-            nodes: vec![NodeId::new(i as u32 % NODES)],
+            nodes: vec![NodeId::new(i as u32 % NODES)].into(),
             enqueued_at: started_at,
             started_at: Some(started_at),
             ended_at,

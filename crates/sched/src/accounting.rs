@@ -1,7 +1,7 @@
 //! Accounting records — the simulated equivalent of `sacct` output, and the
 //! raw input to every analysis in `rsc-core`.
 
-use rsc_cluster::ids::{JobId, JobRunId, NodeId};
+use rsc_cluster::ids::{JobId, JobRunId, NodeList};
 use rsc_sim_core::time::{SimDuration, SimTime};
 
 use crate::job::{JobStatus, QosClass};
@@ -20,7 +20,7 @@ pub struct JobRecord {
     /// Scheduling tier.
     pub qos: QosClass,
     /// Nodes of the allocation (empty if the attempt never started).
-    pub nodes: Vec<NodeId>,
+    pub nodes: NodeList,
     /// When this attempt entered the pending queue.
     pub enqueued_at: SimTime,
     /// When this attempt started running, if it did.
@@ -69,6 +69,7 @@ impl JobRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_cluster::ids::NodeId;
 
     fn record() -> JobRecord {
         JobRecord {
@@ -77,7 +78,7 @@ mod tests {
             run: None,
             gpus: 16,
             qos: QosClass::Normal,
-            nodes: vec![NodeId::new(0), NodeId::new(1)],
+            nodes: vec![NodeId::new(0), NodeId::new(1)].into(),
             enqueued_at: SimTime::from_hours(1),
             started_at: Some(SimTime::from_hours(2)),
             ended_at: SimTime::from_hours(14),
@@ -97,10 +98,16 @@ mod tests {
     }
 
     #[test]
+    fn record_keeps_its_nodes_inline_in_120_bytes() {
+        assert_eq!(std::mem::size_of::<NodeList>(), 16);
+        assert!(std::mem::size_of::<JobRecord>() <= 120);
+    }
+
+    #[test]
     fn never_started_attempt() {
         let mut r = record();
         r.started_at = None;
-        r.nodes.clear();
+        r.nodes = Default::default();
         assert_eq!(r.runtime(), SimDuration::ZERO);
         assert_eq!(r.queue_wait(), SimDuration::from_hours(13));
         assert_eq!(r.node_days(), 0.0);

@@ -6,7 +6,7 @@
 //! "co-locate the tasks given the physical network topology" (§II-A).
 
 use rsc_cluster::bitset::HierBitSet;
-use rsc_cluster::ids::{NodeId, PodId};
+use rsc_cluster::ids::{NodeId, NodeList, PodId};
 use rsc_cluster::node::GPUS_PER_NODE;
 use rsc_cluster::topology::Topology;
 
@@ -262,11 +262,12 @@ impl ResourcePool {
     /// Sub-node jobs best-fit into the fullest node that still fits them
     /// (reducing fragmentation); multi-node jobs take fully-free nodes,
     /// packing pods with the most free capacity first.
-    pub fn try_allocate(&self, spec: &JobSpec) -> Option<Vec<NodeId>> {
+    pub fn try_allocate(&self, spec: &JobSpec) -> Option<NodeList> {
         if spec.is_sub_node() {
-            self.best_fit_sub_node(spec.gpus as u8).map(|n| vec![n])
+            self.best_fit_sub_node(spec.gpus as u8).map(NodeList::one)
         } else {
             self.pack_whole_nodes(spec.nodes_needed() as usize)
+                .map(NodeList::from)
         }
     }
 
@@ -375,12 +376,13 @@ impl ResourcePool {
     /// Naive-scan allocation (reference for the property tests): same
     /// routing as [`Self::try_allocate`] over the `_naive` primitives.
     #[doc(hidden)]
-    pub fn try_allocate_naive(&self, spec: &JobSpec) -> Option<Vec<NodeId>> {
+    pub fn try_allocate_naive(&self, spec: &JobSpec) -> Option<NodeList> {
         if spec.is_sub_node() {
             self.best_fit_sub_node_naive(spec.gpus as u8)
-                .map(|n| vec![n])
+                .map(NodeList::one)
         } else {
             self.pack_whole_nodes_naive(spec.nodes_needed() as usize)
+                .map(NodeList::from)
         }
     }
 
@@ -548,7 +550,7 @@ mod tests {
         let mut p = pool(2);
         p.set_available(NodeId::new(0), false);
         let a = p.try_allocate(&spec(8)).unwrap();
-        assert_eq!(a, vec![NodeId::new(1)]);
+        assert_eq!(*a, [NodeId::new(1)]);
         p.set_available(NodeId::new(1), false);
         assert!(p.try_allocate(&spec(1)).is_none());
     }
@@ -578,7 +580,7 @@ mod tests {
         // Drive a deterministic mix of commits, releases, and availability
         // flips, checking the indexed queries against the naive scans at
         // every step.
-        let mut live: Vec<(Vec<NodeId>, JobSpec)> = Vec::new();
+        let mut live: Vec<(NodeList, JobSpec)> = Vec::new();
         let mut x: u64 = 0x243f_6a88_85a3_08d3;
         for step in 0..400 {
             x = x
@@ -639,7 +641,7 @@ mod tests {
         // 70 nodes = three full pods of 20 plus a partial pod of 10, so the
         // cross-pod packing order is part of what the rebuild must match.
         let mut p = pool(70);
-        let mut live: Vec<(Vec<NodeId>, JobSpec)> = Vec::new();
+        let mut live: Vec<(NodeList, JobSpec)> = Vec::new();
         let mut x: u64 = 0x1319_8a2e_0370_7344;
         let mut cross_pod_orders = 0;
         for step in 0..600 {
@@ -685,7 +687,7 @@ mod tests {
         // 40 nodes are two full pods; 50 and 70 end in a partial pod of 10.
         for nodes in [40u32, 50, 70] {
             let mut p = pool(nodes);
-            let mut live: Vec<(Vec<NodeId>, JobSpec)> = Vec::new();
+            let mut live: Vec<(NodeList, JobSpec)> = Vec::new();
             let mut x: u64 = 0xa409_3822_299f_31d0 ^ nodes as u64;
             for step in 0..600 {
                 x = x

@@ -1,6 +1,6 @@
 //! Jobs: specifications, user-driven destinies, and runtime state.
 
-use rsc_cluster::ids::{JobId, JobRunId, NodeId};
+use rsc_cluster::ids::{JobId, JobRunId, NodeId, NodeList};
 use rsc_sim_core::time::{SimDuration, SimTime};
 
 use crate::project::ProjectId;
@@ -203,7 +203,7 @@ pub enum JobState {
     /// Running on an allocation.
     Running {
         /// Nodes allocated (one entry even for sub-node jobs).
-        nodes: Vec<NodeId>,
+        nodes: NodeList,
         /// When this attempt started.
         started_at: SimTime,
     },

@@ -7,7 +7,7 @@
 //! a job.
 
 use rsc_cluster::bitset::HierBitSet;
-use rsc_cluster::ids::{JobId, NodeId};
+use rsc_cluster::ids::{JobId, NodeId, NodeList};
 use rsc_cluster::topology::Topology;
 use rsc_sim_core::time::{SimDuration, SimTime};
 
@@ -98,7 +98,7 @@ pub struct StartedAttempt {
     /// Attempt number now running.
     pub attempt: u32,
     /// Allocated nodes.
-    pub nodes: Vec<NodeId>,
+    pub nodes: NodeList,
     /// Start time.
     pub started_at: SimTime,
     /// Jobs preempted to make room.
@@ -410,7 +410,7 @@ impl Scheduler {
                     self.pool
                         .try_allocate(&spec)
                         .expect("preemption plan freed enough nodes");
-                    started.push(self.start_job(id, nodes, now, victims));
+                    started.push(self.start_job(id, nodes.into(), now, victims));
                     started_keys.push(*key);
                     free_gpus = self.pool.total_free_gpus();
                 } else {
@@ -595,7 +595,7 @@ impl Scheduler {
     fn start_job(
         &mut self,
         id: JobId,
-        nodes: Vec<NodeId>,
+        nodes: NodeList,
         now: SimTime,
         preempted: Vec<JobId>,
     ) -> StartedAttempt {

@@ -10,14 +10,14 @@
 //! digits only, no sign, no leading zero except in `0`, each number at its
 //! field's own width (a value past it is refused, never truncated), labels
 //! only from the fixed tables, and the exact field count. They allocate
-//! only for the record itself (a job's node list) and build an error
+//! only for a multi-node job's node list and build an error
 //! message only on the failure path. Errors are a plain `String`; callers
 //! attach location context (snapshot or trace line numbers).
 
 use std::io::{self, Write};
 
 use rsc_cluster::gpu::XidError;
-use rsc_cluster::ids::{JobId, NodeId};
+use rsc_cluster::ids::{JobId, NodeId, NodeList};
 use rsc_failure::injector::FailureEvent;
 use rsc_failure::modes::{ModeId, Severity};
 use rsc_failure::signals::SignalKind;
@@ -294,20 +294,28 @@ impl<'a> Row<'a> {
         self.num(what).map(Some)
     }
 
-    /// The next field as a `;`-separated list of `u32`s, each mapped by
-    /// `f`; an empty field is an empty list, sized exactly from the row's
-    /// own `;` count.
-    pub(crate) fn list<T>(&mut self, what: &str, f: impl Fn(u32) -> T) -> Result<Vec<T>, String> {
+    /// The next field as a `;`-separated list of node ids; an empty field
+    /// is an empty list. One node is stored inline, so only a multi-node
+    /// list allocates, once, sized exactly from the row's own `;` count.
+    pub(crate) fn nodes(&mut self, what: &str) -> Result<NodeList, String> {
         let start = self.pos;
         let field = self.field(what)?;
-        if field.is_empty() {
-            return Ok(Vec::new());
+        let node = |entry| {
+            parse_uint(entry)
+                .map(NodeId::new)
+                .ok_or_else(|| self.bad(what, start))
+        };
+        match field.iter().filter(|&&b| b == b';').count() {
+            _ if field.is_empty() => Ok(NodeList::default()),
+            0 => node(field).map(NodeList::one),
+            separators => {
+                let mut out = Vec::with_capacity(separators + 1);
+                for entry in field.split(|&b| b == b';') {
+                    out.push(node(entry)?);
+                }
+                Ok(out.into())
+            }
         }
-        let mut out = Vec::with_capacity(field.iter().filter(|&&b| b == b';').count() + 1);
-        for entry in field.split(|&b| b == b';') {
-            out.push(f(parse_uint(entry).ok_or_else(|| self.bad(what, start))?));
-        }
-        Ok(out)
     }
 }
 

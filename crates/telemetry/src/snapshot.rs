@@ -775,7 +775,7 @@ mod tests {
             run: Some(JobRunId::new(3)),
             gpus: 16,
             qos: QosClass::High,
-            nodes: vec![NodeId::new(0), NodeId::new(4)],
+            nodes: vec![NodeId::new(0), NodeId::new(4)].into(),
             enqueued_at: SimTime::from_secs(10),
             started_at: Some(SimTime::from_secs(60)),
             ended_at: SimTime::from_secs(5000),

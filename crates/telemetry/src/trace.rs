@@ -11,7 +11,7 @@
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use rsc_cluster::ids::{JobId, JobRunId, NodeId};
+use rsc_cluster::ids::{JobId, JobRunId};
 use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
 use rsc_sim_core::time::SimTime;
@@ -108,7 +108,7 @@ pub(crate) fn decode_job_row(row: &[u8]) -> Result<JobRecord, String> {
         run: f.opt_num("run id")?.map(JobRunId::new),
         gpus: f.num("gpus")?,
         qos: f.label("qos", &QosClass::ALL, QosClass::label)?,
-        nodes: f.list("node id", NodeId::new)?,
+        nodes: f.nodes("node id")?,
         enqueued_at: SimTime::from_secs(f.num("enqueued_at")?),
         started_at: f.opt_num("started_at")?.map(SimTime::from_secs),
         ended_at: SimTime::from_secs(f.num("ended_at")?),
@@ -155,6 +155,7 @@ pub fn import_jobs<R: BufRead>(mut r: R) -> Result<Vec<JobRecord>, ParseTraceErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_cluster::ids::NodeId;
     use std::io::BufReader;
 
     fn record(id: u64, status: JobStatus) -> JobRecord {
@@ -164,7 +165,7 @@ mod tests {
             run: Some(JobRunId::new(7)),
             gpus: 16,
             qos: QosClass::High,
-            nodes: vec![NodeId::new(3), NodeId::new(4)],
+            nodes: vec![NodeId::new(3), NodeId::new(4)].into(),
             enqueued_at: SimTime::from_secs(100),
             started_at: Some(SimTime::from_secs(160)),
             ended_at: SimTime::from_secs(4000),
@@ -182,7 +183,7 @@ mod tests {
             JobRecord {
                 run: None,
                 started_at: None,
-                nodes: Vec::new(),
+                nodes: Default::default(),
                 instigator: None,
                 ..record(3, JobStatus::Cancelled)
             },

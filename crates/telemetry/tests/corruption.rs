@@ -293,7 +293,7 @@ fn every_stream_view() -> TelemetryView {
         run: None,
         gpus: 16,
         qos: QosClass::High,
-        nodes: vec![node, NodeId::new(5)],
+        nodes: vec![node, NodeId::new(5)].into(),
         enqueued_at: SimTime::ZERO,
         started_at: Some(at),
         ended_at: SimTime::from_secs(5_000),
@@ -469,7 +469,7 @@ fn stray_node_view(section: &str) -> TelemetryView {
     store.set_horizon(view.horizon());
     store.extend_jobs(view.jobs().iter().cloned().map(|mut r| {
         if section == "jobs" {
-            r.nodes.push(stray);
+            r.nodes = r.nodes.iter().copied().chain([stray]).collect();
         }
         r
     }));

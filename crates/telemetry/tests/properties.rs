@@ -233,7 +233,7 @@ proptest! {
         let fleet = |node: NodeId| NodeId::new(node.index() % num_nodes);
         let mut store = TelemetryStore::new(&name, num_nodes);
         store.extend_jobs(jobs.into_iter().map(|mut r| {
-            r.nodes.iter_mut().for_each(|n| *n = fleet(*n));
+            r.nodes = r.nodes.iter().map(|&n| fleet(n)).collect();
             r
         }));
         for e in health { store.push_health_event(HealthEvent { node: fleet(e.node), ..e }); }
@@ -303,7 +303,7 @@ fn edit_sample(v4: bool) -> Vec<u8> {
             run: (i > 0).then(|| JobRunId::new(i)),
             gpus: 8 * nodes.len() as u32,
             qos: arb_qos(i as u8),
-            nodes,
+            nodes: nodes.into(),
             enqueued_at: SimTime::from_secs(100 * i),
             started_at: (i > 0).then(|| SimTime::from_secs(100 * i + 30)),
             ended_at: SimTime::from_secs(100 * i + 5_000),

@@ -552,7 +552,7 @@ fn sample() -> Streams {
             run: Some(JobRunId::new(3)),
             gpus: 16,
             qos: QosClass::High,
-            nodes: vec![NodeId::new(0), NodeId::new(4)],
+            nodes: vec![NodeId::new(0), NodeId::new(4)].into(),
             enqueued_at: SimTime::from_secs(10),
             started_at: Some(SimTime::from_secs(60)),
             ended_at: SimTime::from_secs(5000),
@@ -712,5 +712,97 @@ fn non_canonical_trace_rows_are_parse_errors_at_their_line() {
             Err(e) => assert_eq!(e.line, row_line, "trace row, {what}: {e}"),
             Ok(back) => panic!("trace row, {what}: read as {back:?}"),
         }
+    }
+}
+
+/// The job record as it was while its nodes were a `Vec<NodeId>`: same
+/// name, fields and order, so its derived `Debug` text is the old one.
+mod vec_built {
+    use super::*;
+
+    #[derive(Debug)]
+    pub struct JobRecord {
+        pub job: JobId,
+        pub attempt: u32,
+        pub run: Option<JobRunId>,
+        pub gpus: u32,
+        pub qos: QosClass,
+        pub nodes: Vec<NodeId>,
+        pub enqueued_at: SimTime,
+        pub started_at: Option<SimTime>,
+        pub ended_at: SimTime,
+        pub status: JobStatus,
+        pub preempted_by: Option<JobId>,
+        pub instigator: Option<JobId>,
+    }
+}
+
+/// A record with 0, 1, 2 or 300 nodes prints, encodes and chains exactly as
+/// the `Vec`-built record did, and its row decodes back to the same slice.
+#[test]
+fn node_lists_print_encode_and_chain_as_vec_built_records() {
+    // `chain_digest` of each record, taken while `nodes` was a `Vec`.
+    let vec_digests = [
+        (0, 0x96c2_eb80_a473_4b92),
+        (1, 0x24d4_bfb4_e6c2_742f),
+        (2, 0xb085_1235_ea66_9260),
+        (300, 0x8b0c_aef2_abee_1d31),
+    ];
+    for (n, vec_digest) in vec_digests {
+        let nodes: Vec<NodeId> = (0..n).map(|i| NodeId::new(i * 3 + 1)).collect();
+        let old = vec_built::JobRecord {
+            job: JobId::new(40 + u64::from(n)),
+            attempt: 2,
+            run: Some(JobRunId::new(9)),
+            gpus: 8 * n,
+            qos: QosClass::Low,
+            nodes,
+            enqueued_at: SimTime::from_secs(100),
+            started_at: (n > 0).then(|| SimTime::from_secs(160)),
+            ended_at: SimTime::from_secs(4_000),
+            status: JobStatus::Requeued,
+            preempted_by: None,
+            instigator: Some(JobId::new(5)),
+        };
+        let record = JobRecord {
+            job: old.job,
+            attempt: old.attempt,
+            run: old.run,
+            gpus: old.gpus,
+            qos: old.qos,
+            nodes: old.nodes.clone().into(),
+            enqueued_at: old.enqueued_at,
+            started_at: old.started_at,
+            ended_at: old.ended_at,
+            status: old.status,
+            preempted_by: old.preempted_by,
+            instigator: old.instigator,
+        };
+        assert_eq!(*record.nodes, *old.nodes, "{n} nodes");
+        assert_eq!(format!("{record:?}"), format!("{old:?}"), "{n} nodes");
+        assert_eq!(
+            rsc_telemetry::chain::chain_digest(std::slice::from_ref(&record)),
+            vec_digest,
+            "{n} nodes"
+        );
+
+        let mut trace = Vec::new();
+        export_jobs(&mut trace, std::slice::from_ref(&record)).unwrap();
+        let node_field: Vec<String> = old.nodes.iter().map(|n| n.index().to_string()).collect();
+        let row = format!(
+            "{},2,9,{},low,{},100,{},4000,REQUEUED,,5",
+            40 + n,
+            8 * n,
+            node_field.join(";"),
+            if n > 0 { "160" } else { "" }
+        );
+        let header = format_row(TRACE_HEADER.iter().copied());
+        assert_eq!(
+            String::from_utf8(trace.clone()).unwrap(),
+            format!("{header}\n{row}\n")
+        );
+        let back = import_jobs(trace.as_slice()).unwrap();
+        assert_eq!(*back[0].nodes, *old.nodes, "{n} nodes");
+        assert_eq!(back, [record]);
     }
 }

@@ -40,8 +40,8 @@ fn assert_common_content(view: &TelemetryView) {
     assert_eq!(jobs[5].gpus, 16);
     assert_eq!(jobs[5].enqueued_at, SimTime::from_secs(500));
     assert_eq!(
-        jobs[5].nodes,
-        vec![NodeId::new(5), NodeId::new(6)],
+        *jobs[5].nodes,
+        [NodeId::new(5), NodeId::new(6)],
         "job 5 spans two nodes starting at its own index"
     );
 

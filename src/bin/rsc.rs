@@ -12,6 +12,7 @@
 //! Run `rsc help` for usage.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -27,6 +28,7 @@ use rsc_reliability::analysis::goodput::goodput_loss;
 use rsc_reliability::analysis::mttf::{mttf_by_job_size, FailureScope, MttfProjection};
 use rsc_reliability::analysis::queueing::{mean_wait_hours, wait_by_size_and_qos};
 use rsc_reliability::analysis::report::{size_distribution, status_breakdown};
+use rsc_reliability::sched::accounting::JobRecord;
 use rsc_reliability::sim::{ClusterSim, SimConfig};
 use rsc_reliability::simcore::rng::SimRng;
 use rsc_reliability::simcore::time::SimDuration;
@@ -181,6 +183,32 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// A trace names a node whose index the largest fleet cannot hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeIdOutOfRange {
+    node: u32,
+}
+
+impl fmt::Display for NodeIdOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "node id {} is outside every fleet: a fleet holds at most {} nodes",
+            self.node,
+            u32::MAX
+        )
+    }
+}
+
+/// The fleet a trace runs on: one past its highest node index (one node
+/// for a trace without any), counted in `u64` so the top id cannot wrap.
+fn fleet_size(records: &[JobRecord]) -> Result<u32, NodeIdOutOfRange> {
+    let Some(top) = records.iter().flat_map(|r| r.nodes.iter()).max() else {
+        return Ok(1);
+    };
+    u32::try_from(u64::from(top.index()) + 1).map_err(|_| NodeIdOutOfRange { node: top.index() })
+}
+
 fn cmd_analyze(flags: &Flags) -> Result<(), String> {
     let path = flags
         .get("trace")
@@ -190,11 +218,7 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
     if records.is_empty() {
         return Err("trace contains no records".to_string());
     }
-    let num_nodes = records
-        .iter()
-        .flat_map(|r| r.nodes.iter().map(|n| n.index() + 1))
-        .max()
-        .unwrap_or(1);
+    let num_nodes = fleet_size(&records).map_err(|e| e.to_string())?;
     let mut store = TelemetryStore::new("trace", num_nodes);
     let horizon = records.iter().map(|r| r.ended_at).max().expect("non-empty");
     store.extend_jobs(records);
@@ -388,6 +412,28 @@ mod tests {
         assert!(err.contains("\"extra\""), "{err}");
         let err = parse_flags(&args(&["--trace"]), known("analyze")).unwrap_err();
         assert!(err.contains("--trace"), "{err}");
+    }
+
+    /// Writes a one-row trace whose job ran on `node` and analyzes it.
+    fn analyze_one_row(node: u32) -> Result<(), String> {
+        let path =
+            std::env::temp_dir().join(format!("rsc-one-row-{}-{node}.csv", std::process::id()));
+        let trace = format!(
+            "job,attempt,run,gpus,qos,nodes,enqueued_at,started_at,ended_at,status,preempted_by,instigator\n\
+             1,0,,8,normal,{node},0,60,3600,NODE_FAIL,,\n"
+        );
+        std::fs::write(&path, trace).unwrap();
+        let flags = Flags::from([("trace".to_string(), path.display().to_string())]);
+        let result = cmd_analyze(&flags);
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
+    #[test]
+    fn analyze_refuses_a_node_id_no_fleet_can_hold() {
+        let err = analyze_one_row(u32::MAX).unwrap_err();
+        assert_eq!(err, NodeIdOutOfRange { node: u32::MAX }.to_string());
+        analyze_one_row(5).unwrap();
     }
 
     #[test]
