@@ -370,6 +370,8 @@ fn histogram_json(h: &HistogramSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alerts::AlertKey;
+    use rsc_sim_core::time::SimTime;
 
     #[test]
     fn histogram_summary_of_empty_is_zero() {
@@ -391,5 +393,127 @@ mod tests {
         );
         assert!(json.contains("\"cluster\":\"\""));
         assert!(json.contains("\"overall_mttf_hours\":null"));
+    }
+
+    fn alert(key: AlertKey, raised_day: u64, cleared_day: Option<u64>) -> Alert {
+        Alert {
+            key,
+            raised_at: SimTime::from_days(raised_day),
+            cleared_at: cleared_day.map(SimTime::from_days),
+            value: 0.25,
+            threshold: 0.5,
+            message: "say \"hi\"".to_string(),
+        }
+    }
+
+    /// A small fixed report covering every renderer: a `null` rolling
+    /// MTTF, one `ci90` pair and one absent, an active and a cleared
+    /// alert, and non-finite floats that render as `null`.
+    fn fixed_report() -> MonitorReport {
+        let counters = Counters {
+            jobs: 7,
+            jobs_started: 6,
+            completed: 3,
+            failed: 1,
+            node_fail: 1,
+            requeued: 1,
+            gpu_hours: 12.5,
+            ticks: 2,
+            ..Counters::default()
+        };
+        let point = |gpus, failures, ci90| MttfPoint {
+            gpus,
+            failures,
+            exposure_hours: 40.0,
+            mttf_hours: if failures == 0 { f64::INFINITY } else { 20.0 },
+            ci90,
+        };
+        MonitorReport {
+            cluster: "RSC-\"x\"".to_string(),
+            num_nodes: 16,
+            at_days: 2.5,
+            gpu_swaps: 1,
+            counters,
+            mttf_points: vec![point(8, 2, Some((10.0, 61.25))), point(64, 0, None)],
+            overall_mttf_hours: f64::INFINITY,
+            rolling_mttf: None,
+            failure_rate_per_node_day: 0.0625,
+            expected_ettr: Some(0.875),
+            availability: AvailabilitySnapshot {
+                fleet_availability: 0.99,
+                mttr_hours: f64::NAN,
+                mttr_p90_hours: 3.0,
+                lost_node_days: 0.125,
+                completed_repairs: 4,
+                open_intervals: 1,
+            },
+            failures_injected: 3,
+            failures_detected: 2,
+            time_to_detect_hours: HistogramSummary {
+                count: 2,
+                mean: 1.5,
+                p50: 1.0,
+                p90: 2.0,
+                max: 2.0,
+            },
+            time_to_repair_hours: HistogramSummary::from_histogram(&LogHistogram::new()),
+            lemon_suspects: vec![LemonSuspect {
+                node: 5,
+                score: 3,
+                flagged: true,
+            }],
+            alerts: vec![
+                alert(AlertKey::LemonSuspect(NodeId::new(5)), 1, None),
+                alert(AlertKey::MttfRegression, 1, Some(2)),
+            ],
+        }
+    }
+
+    /// Bytes recorded from the `format!`-template renderer this report
+    /// used before it was built through `json::Object`.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let expected = concat!(
+            r#"{"cluster":"RSC-\"x\"","num_nodes":16,"at_days":2.5,"gpu_swaps":1,"#,
+            r#""counters":{"jobs":7,"jobs_started":6,"completed":3,"failed":1,"node_fail":1,"#,
+            r#""requeued":1,"preempted":0,"other":0,"gpu_hours":12.5,"health_events":0,"#,
+            r#""false_positives":0,"node_events":0,"quarantined":0,"exclusions":0,"#,
+            r#""ground_truth":0,"ckpt_fallbacks":0,"fallback_lost_gpu_hours":0,"#,
+            r#""control_actions":0,"ticks":2},"#,
+            r#""mttf_points":[{"gpus":8,"failures":2,"exposure_hours":40,"mttf_hours":20,"#,
+            r#""ci90":[10,61.25]},{"gpus":64,"failures":0,"exposure_hours":40,"#,
+            r#""mttf_hours":null,"ci90":null}],"#,
+            r#""overall_mttf_hours":null,"rolling_mttf":null,"#,
+            r#""failure_rate_per_node_day":0.0625,"expected_ettr":0.875,"#,
+            r#""availability":{"fleet_availability":0.99,"mttr_hours":null,"#,
+            r#""mttr_p90_hours":3,"lost_node_days":0.125,"completed_repairs":4,"#,
+            r#""open_intervals":1},"failures_injected":3,"failures_detected":2,"#,
+            r#""time_to_detect_hours":{"count":2,"mean":1.5,"p50":1,"p90":2,"max":2},"#,
+            r#""time_to_repair_hours":{"count":0,"mean":0,"p50":0,"p90":0,"max":0},"#,
+            r#""lemon_suspects":[{"node":5,"score":3,"flagged":true}],"#,
+            r#""alerts":[{"kind":"lemon_suspect","node":5,"raised_at_days":1,"#,
+            r#""cleared_at_days":null,"value":0.25,"threshold":0.5,"message":"say \"hi\""},"#,
+            r#"{"kind":"mttf_regression","node":null,"raised_at_days":1,"#,
+            r#""cleared_at_days":2,"value":0.25,"threshold":0.5,"message":"say \"hi\""}]}"#,
+        );
+        assert_eq!(fixed_report().to_json(), expected);
+
+        let mut report = fixed_report();
+        let rolling = |ci90| RollingMttfEstimate {
+            failures: 3,
+            exposure_hours: 90.0,
+            mttf_hours: 30.0,
+            ci90,
+        };
+        report.rolling_mttf = Some(rolling(Some((15.5, f64::INFINITY))));
+        report.expected_ettr = None;
+        assert!(report.to_json().contains(concat!(
+            r#""rolling_mttf":{"failures":3,"exposure_hours":90,"mttf_hours":30,"#,
+            r#""ci90":[15.5,null]},"failure_rate_per_node_day":0.0625,"expected_ettr":null,"#,
+        )));
+        report.rolling_mttf = Some(rolling(None));
+        assert!(report.to_json().contains(
+            r#""rolling_mttf":{"failures":3,"exposure_hours":90,"mttf_hours":30,"ci90":null},"#
+        ));
     }
 }

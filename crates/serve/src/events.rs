@@ -70,9 +70,11 @@ pub fn monitor_event_json(event: &MonitorEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsc_cluster::ids::NodeId;
+    use rsc_cluster::ids::{JobId, NodeId};
     use rsc_monitor::alerts::AlertKey;
+    use rsc_monitor::tap::EstimateTick;
     use rsc_sim_core::time::SimTime;
+    use rsc_telemetry::store::{ControlActionKind, ControlTrigger};
 
     #[test]
     fn alert_payload_has_stable_shape() {
@@ -91,5 +93,94 @@ mod tests {
         assert!(body.starts_with("{\"seq\":2,\"alert\":{\"kind\":\"lemon_suspect\",\"node\":9,"));
         assert!(body.contains("\"cleared_at_days\":null"));
         assert_eq!(event.label(), "alert");
+    }
+
+    #[test]
+    fn payload_bytes_are_pinned_per_event_kind() {
+        let alert = Alert {
+            key: AlertKey::MttfRegression,
+            raised_at: SimTime::from_days(3),
+            cleared_at: Some(SimTime::from_hours(90)),
+            value: 0.5,
+            threshold: f64::INFINITY,
+            message: "tab\there".to_string(),
+        };
+        let events = [
+            MonitorEvent::AlertRaised {
+                seq: 0,
+                alert: Alert {
+                    cleared_at: None,
+                    ..alert.clone()
+                },
+            },
+            MonitorEvent::AlertCleared { seq: 0, alert },
+            MonitorEvent::Action(ControlActionEvent {
+                at: SimTime::from_hours(36),
+                kind: ControlActionKind::QuarantineNode,
+                trigger: ControlTrigger::LemonSuspect,
+                node: Some(NodeId::new(12)),
+                job: None,
+                accepted: false,
+                value: 7,
+            }),
+            MonitorEvent::Action(ControlActionEvent {
+                at: SimTime::from_days(2),
+                kind: ControlActionKind::RetuneCheckpoint,
+                trigger: ControlTrigger::Controller,
+                node: None,
+                job: Some(JobId::new(44)),
+                accepted: true,
+                value: 1800,
+            }),
+            MonitorEvent::Estimate(EstimateTick {
+                at_days: 4.0,
+                overall_mttf_hours: f64::INFINITY,
+                failure_rate_per_node_day: 0.0125,
+                expected_ettr: None,
+                fleet_availability: 0.995,
+                active_alerts: 1,
+            }),
+            MonitorEvent::Estimate(EstimateTick {
+                at_days: 5.0,
+                overall_mttf_hours: 120.5,
+                failure_rate_per_node_day: 0.0125,
+                expected_ettr: Some(0.93),
+                fleet_availability: 0.995,
+                active_alerts: 0,
+            }),
+            MonitorEvent::Finished { at_days: 7.0 },
+        ];
+        // Bytes recorded from the renderer before the alert object moved
+        // into rsc-monitor.
+        let expected = [
+            concat!(
+                r#"{"seq":0,"alert":{"kind":"mttf_regression","node":null,"raised_at_days":3,"#,
+                r#""cleared_at_days":null,"value":0.5,"threshold":null,"message":"tab\there"}}"#,
+            ),
+            concat!(
+                r#"{"seq":0,"alert":{"kind":"mttf_regression","node":null,"raised_at_days":3,"#,
+                r#""cleared_at_days":3.75,"value":0.5,"threshold":null,"message":"tab\there"}}"#,
+            ),
+            concat!(
+                r#"{"kind":"quarantine_node","trigger":"lemon_suspect","at_days":1.5,"#,
+                r#""node":12,"job":null,"accepted":false,"value":7}"#,
+            ),
+            concat!(
+                r#"{"kind":"retune_checkpoint","trigger":"controller","at_days":2,"#,
+                r#""node":null,"job":44,"accepted":true,"value":1800}"#,
+            ),
+            concat!(
+                r#"{"at_days":4,"overall_mttf_hours":null,"failure_rate_per_node_day":0.0125,"#,
+                r#""expected_ettr":null,"fleet_availability":0.995,"active_alerts":1}"#,
+            ),
+            concat!(
+                r#"{"at_days":5,"overall_mttf_hours":120.5,"failure_rate_per_node_day":0.0125,"#,
+                r#""expected_ettr":0.93,"fleet_availability":0.995,"active_alerts":0}"#,
+            ),
+            r#"{"at_days":7}"#,
+        ];
+        for (event, expected) in events.iter().zip(expected) {
+            assert_eq!(monitor_event_json(event), expected, "{}", event.label());
+        }
     }
 }
