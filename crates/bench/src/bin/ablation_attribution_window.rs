@@ -10,6 +10,7 @@ use rsc_sched::job::JobStatus;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Attribution window sweep (paper default: 10 min before / 5 after)",

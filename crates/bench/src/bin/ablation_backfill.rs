@@ -13,6 +13,7 @@ use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Backfill policy: unreserved vs conservative reservations",

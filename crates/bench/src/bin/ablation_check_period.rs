@@ -12,6 +12,7 @@ use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Health-check period sweep (paper default: 5 minutes)",

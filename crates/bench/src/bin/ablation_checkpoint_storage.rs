@@ -12,6 +12,7 @@ use rsc_storage::requirements::{ettr_with_stalls, writers_needed};
 use rsc_storage::tier::{StorageTier, TierSpec};
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Storage cost of Fig. 10 checkpoint cadences",

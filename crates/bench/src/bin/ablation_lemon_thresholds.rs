@@ -11,6 +11,7 @@ use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Lemon-detector threshold sweep",

@@ -13,6 +13,7 @@ use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Preemption floor sweep (paper default: 2 hours)",

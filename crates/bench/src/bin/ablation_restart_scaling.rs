@@ -8,6 +8,7 @@
 use rsc_core::ettr::restart::RestartOverheadModel;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Ablation",
         "Restart-overhead scaling: naive vs optimized restart path",

@@ -6,6 +6,7 @@ use rsc_core::ettr::montecarlo::monte_carlo_ettr;
 use rsc_sim_core::rng::SimRng;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "ETTR validation",
         "Analytic E[ETTR] vs Monte Carlo",

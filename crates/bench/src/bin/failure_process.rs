@@ -12,6 +12,7 @@ use rsc_sim::config::{EraPreset, SimConfig};
 use rsc_sim::runner::ScenarioSpec;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Failure process",
         "Weibull fit of failure interarrivals + queue waits",

@@ -4,6 +4,7 @@
 use rsc_core::ettr::requirements::max_coupled_interval_mins;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Fig. 10",
         "Checkpoint & failure-rate requirements at 100k GPUs",

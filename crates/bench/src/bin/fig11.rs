@@ -7,6 +7,7 @@ use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::{SimDuration, SimTime};
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Fig. 11",
         "Lemon-detection feature CDFs (28-day window)",

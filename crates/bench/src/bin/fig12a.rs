@@ -4,6 +4,7 @@
 use rsc_network::experiments::ber_injection_experiment;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Fig. 12a",
         "All-Reduce bandwidth under link errors, ±AR",

@@ -5,6 +5,7 @@ use rsc_network::experiments::contention_experiment;
 use rsc_sim_core::stats::Ecdf;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Fig. 12b",
         "Concurrent All-Reduce groups under contention, ±AR",

@@ -8,6 +8,7 @@ use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::{SimDuration, SimTime};
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Lemon evaluation",
         "Detection accuracy and large-job failure reduction",

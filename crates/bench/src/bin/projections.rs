@@ -4,6 +4,7 @@
 use rsc_core::mttf::MttfProjection;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Projections",
         "MTTF at frontier scale from 1/(N·r_f)",

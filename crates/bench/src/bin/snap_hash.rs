@@ -16,33 +16,16 @@
 use std::io::Write as _;
 
 use rsc_bench::{rsc1_sized_spec, rsc1_spec, rsc2_spec, FIGURE_SEED};
+use rsc_sim::runner::ScenarioSpec;
+use rsc_sim_core::cli;
 use rsc_sim_core::fnv::fnv1a;
 use rsc_telemetry::snapshot::write_snapshot;
 
+const USAGE: &str = "[--nodes N] [--days N] [--seed N] [--preset rsc1|rsc2] [--scale N]";
+
 fn main() {
-    let mut nodes: u32 = 2048;
-    let mut days: u64 = 7;
-    let mut seed: u64 = FIGURE_SEED;
-    let mut preset: Option<String> = None;
-    let mut scale: u32 = 1;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = || args.next().expect("flag needs a value");
-        match a.as_str() {
-            "--nodes" => nodes = val().parse().expect("--nodes"),
-            "--days" => days = val().parse().expect("--days"),
-            "--seed" => seed = val().parse().expect("--seed"),
-            "--preset" => preset = Some(val()),
-            "--scale" => scale = val().parse().expect("--scale"),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    let spec = match preset.as_deref() {
-        None => rsc1_sized_spec(nodes, days, seed),
-        Some("rsc1") => rsc1_spec(scale, days, seed),
-        Some("rsc2") => rsc2_spec(scale, days, seed),
-        Some(other) => panic!("unknown preset {other} (rsc1|rsc2)"),
-    };
+    let spec = scenario(std::env::args().skip(1))
+        .unwrap_or_else(|e| rsc_bench::exit_with_usage(&e, USAGE));
     let view = spec.simulate();
     let mut bytes = Vec::new();
     write_snapshot(&mut bytes, &view).expect("encode snapshot");
@@ -56,4 +39,19 @@ fn main() {
         h
     )
     .unwrap();
+}
+
+/// The scenario the flags name.
+fn scenario(raw: impl Iterator<Item = String>) -> Result<ScenarioSpec, String> {
+    let args = cli::parse(raw, &["nodes", "days", "seed", "preset", "scale"], &[])?;
+    let nodes = args.parse_or("nodes", 2048)?;
+    let days = args.parse_or("days", 7)?;
+    let seed = args.parse_or("seed", FIGURE_SEED)?;
+    let scale = args.parse_or("scale", 1)?;
+    Ok(match args.get("preset") {
+        None => rsc1_sized_spec(nodes, days, seed),
+        Some("rsc1") => rsc1_spec(scale, days, seed),
+        Some("rsc2") => rsc2_spec(scale, days, seed),
+        Some(other) => return Err(format!("unknown preset {other:?} (rsc1|rsc2)")),
+    })
 }

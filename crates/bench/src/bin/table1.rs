@@ -4,6 +4,7 @@
 use rsc_core::report::taxonomy_table;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Table I",
         "Taxonomy of failures",

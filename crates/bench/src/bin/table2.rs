@@ -8,6 +8,7 @@ use rsc_failure::lemon::{LemonPlan, ROOT_CAUSE_TABLE};
 use rsc_sim_core::rng::SimRng;
 
 fn main() {
+    rsc_bench::no_args();
     rsc_bench::banner(
         "Table II",
         "Fraction of lemon-node root causes",

@@ -14,14 +14,18 @@
 //! simulating for minutes. Delete the cache directory (or change any
 //! scenario parameter) to force fresh runs.
 //!
-//! Binaries take `--seed N`, `--days N`, and `--scale N` flags (see
-//! [`BenchArgs`]) so scenarios can be varied without recompiling.
+//! Binaries that simulate take `--seed N`, `--days N`, and `--scale N`
+//! flags (see [`BenchArgs`]) so scenarios can be varied without
+//! recompiling; binaries with nothing to vary call [`no_args`]. Both go
+//! through [`rsc_sim_core::cli`], so every flag is also accepted as
+//! `--flag=N` and an unknown flag or stray argument exits with status 2.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rsc_sim::config::SimConfig;
 use rsc_sim::runner::{ScenarioRunner, ScenarioSpec};
+use rsc_sim_core::cli;
 use rsc_telemetry::view::TelemetryView;
 
 /// Standard measurement horizon: the paper covers 11 months.
@@ -84,12 +88,6 @@ pub fn run_rsc1(divisor: u32, days: u64, seed: u64) -> Arc<TelemetryView> {
     runner().run_one(&rsc1_spec(divisor, days, seed))
 }
 
-/// Runs (or loads from cache) an RSC-2-like simulation at `1/divisor`
-/// scale for `days`, returning sealed telemetry.
-pub fn run_rsc2(divisor: u32, days: u64, seed: u64) -> Arc<TelemetryView> {
-    runner().run_one(&rsc2_spec(divisor, days, seed))
-}
-
 /// Runs the RSC-1 and RSC-2 scenarios *in parallel* (RSC-2 seeded with
 /// `seed + 1` as the figure binaries conventionally do), returning both
 /// sealed views.
@@ -130,66 +128,31 @@ impl BenchArgs {
     /// Parses `std::env::args()`, exiting with a usage message on
     /// malformed flags. `default_scale` is the binary's stated scale.
     pub fn parse(default_scale: u32) -> Self {
-        match Self::parse_from(std::env::args().skip(1), default_scale) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("usage: [--seed N] [--days N] [--scale N]");
-                std::process::exit(2);
-            }
-        }
+        Self::parse_from(std::env::args().skip(1), default_scale)
+            .unwrap_or_else(|e| exit_with_usage(&e, "[--seed N] [--days N] [--scale N]"))
     }
 
     /// Parses an explicit argument list (testable core of [`parse`](Self::parse)).
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown flags, missing values, or
-    /// unparseable numbers.
+    /// Returns a message for unknown flags, missing values, unparseable
+    /// numbers, or a zero `--days` or `--scale`.
     pub fn parse_from<I>(args: I, default_scale: u32) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
     {
-        let mut out = BenchArgs {
-            seed: FIGURE_SEED,
-            days: MEASUREMENT_DAYS,
-            scale: default_scale,
+        let args = cli::parse(args, &["seed", "days", "scale"], &[])?;
+        let out = BenchArgs {
+            seed: args.parse_or("seed", FIGURE_SEED)?,
+            days: args.parse_or("days", MEASUREMENT_DAYS)?,
+            scale: args.parse_or("scale", default_scale)?,
         };
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg, None),
-            };
-            let mut value = |name: &str| -> Result<String, String> {
-                match inline.clone() {
-                    Some(v) => Ok(v),
-                    None => iter
-                        .next()
-                        .ok_or_else(|| format!("{name} requires a value")),
-                }
-            };
-            match flag.as_str() {
-                "--seed" => {
-                    let v = value("--seed")?;
-                    out.seed = v.parse().map_err(|_| format!("bad --seed: {v:?}"))?;
-                }
-                "--days" => {
-                    let v = value("--days")?;
-                    out.days = v.parse().map_err(|_| format!("bad --days: {v:?}"))?;
-                    if out.days == 0 {
-                        return Err("--days must be positive".to_string());
-                    }
-                }
-                "--scale" => {
-                    let v = value("--scale")?;
-                    out.scale = v.parse().map_err(|_| format!("bad --scale: {v:?}"))?;
-                    if out.scale == 0 {
-                        return Err("--scale must be positive".to_string());
-                    }
-                }
-                other => return Err(format!("unknown flag: {other:?}")),
-            }
+        if out.days == 0 {
+            return Err("--days must be positive".to_string());
+        }
+        if out.scale == 0 {
+            return Err("--scale must be positive".to_string());
         }
         Ok(out)
     }
@@ -207,6 +170,22 @@ impl BenchArgs {
             self.scale, self.days, self.seed
         )
     }
+}
+
+/// For a binary that takes no arguments: refuses any it is given, so a
+/// flag such as `--seed 5` cannot silently run the default.
+pub fn no_args() {
+    if let Err(e) = cli::parse(std::env::args().skip(1), &[], &[]) {
+        exit_with_usage(&e, "(no arguments)");
+    }
+}
+
+/// Prints `error` and the binary's `usage` to stderr and exits with
+/// status 2.
+pub fn exit_with_usage(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {usage}");
+    std::process::exit(2)
 }
 
 /// Where figure CSVs land, resolved in order:
@@ -305,11 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn args_reject_garbage() {
-        assert!(parse(&["--seed"], 8).is_err());
-        assert!(parse(&["--days", "zero"], 8).is_err());
-        assert!(parse(&["--days", "0"], 8).is_err());
-        assert!(parse(&["--scale=0"], 8).is_err());
+    fn args_keep_their_range_checks() {
+        assert_eq!(
+            parse(&["--days", "0"], 8).unwrap_err(),
+            "--days must be positive"
+        );
+        assert_eq!(
+            parse(&["--scale=0"], 8).unwrap_err(),
+            "--scale must be positive"
+        );
+        // `--scale` is a u32: a larger value is refused, not wrapped.
+        assert!(parse(&["--scale", "4294967296"], 8).is_err());
         assert!(parse(&["--frobnicate", "1"], 8).is_err());
     }
 

@@ -20,6 +20,10 @@ use rsc_serve::client;
 use rsc_serve::core::ServiceConfig;
 use rsc_serve::server::Server;
 use rsc_sim::runner::default_cache_dir;
+use rsc_sim_core::cli;
+
+const USAGE: &str = "rsc-serve [--addr HOST:PORT] [--job-workers N] [--http-workers N]\n\
+                     \x20         [--queue N] [--lru N] [--cache-dir PATH] [--smoke]";
 
 struct Args {
     addr: String,
@@ -31,54 +35,35 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7878".to_string(),
-        job_workers: 2,
-        http_workers: 8,
-        queue: 64,
-        lru: 32,
-        cache_dir: default_cache_dir(),
-        smoke: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--job-workers" => {
-                args.job_workers = value("--job-workers")?
-                    .parse()
-                    .map_err(|_| "--job-workers must be an integer".to_string())?
-            }
-            "--http-workers" => {
-                args.http_workers = value("--http-workers")?
-                    .parse()
-                    .map_err(|_| "--http-workers must be an integer".to_string())?
-            }
-            "--queue" => {
-                args.queue = value("--queue")?
-                    .parse()
-                    .map_err(|_| "--queue must be an integer".to_string())?
-            }
-            "--lru" => {
-                args.lru = value("--lru")?
-                    .parse()
-                    .map_err(|_| "--lru must be an integer".to_string())?
-            }
-            "--cache-dir" => args.cache_dir = PathBuf::from(value("--cache-dir")?),
-            "--smoke" => args.smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "rsc-serve [--addr HOST:PORT] [--job-workers N] [--http-workers N]\n\
-                     \x20         [--queue N] [--lru N] [--cache-dir PATH] [--smoke]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
+/// The parsed command line, or `None` after printing `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
+    let args = cli::parse(
+        std::env::args().skip(1),
+        &[
+            "addr",
+            "job-workers",
+            "http-workers",
+            "queue",
+            "lru",
+            "cache-dir",
+        ],
+        &["smoke", "help"],
+    )?;
+    if args.switch("help") {
+        println!("{USAGE}");
+        return Ok(None);
     }
-    Ok(args)
+    Ok(Some(Args {
+        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
+        job_workers: args.parse_or("job-workers", 2)?,
+        http_workers: args.parse_or("http-workers", 8)?,
+        queue: args.parse_or("queue", 64)?,
+        lru: args.parse_or("lru", 32)?,
+        cache_dir: args
+            .get("cache-dir")
+            .map_or_else(default_cache_dir, PathBuf::from),
+        smoke: args.switch("smoke"),
+    }))
 }
 
 fn config_from(args: &Args) -> ServiceConfig {
@@ -91,7 +76,8 @@ fn config_from(args: &Args) -> ServiceConfig {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => return ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("rsc-serve: {err}");
             return ExitCode::FAILURE;

@@ -5,6 +5,7 @@
 //! This crate provides the deterministic building blocks every other crate
 //! rests on:
 //!
+//! - [`cli`] — the command-line flag parser every tool shares;
 //! - [`time`] — integer-second [`time::SimTime`] / [`time::SimDuration`]
 //!   newtypes with saturating arithmetic;
 //! - [`event`] — a future-event queue with deterministic tie-breaking;
@@ -14,7 +15,7 @@
 //!   index and the scheduler's hot node indexes;
 //! - [`rng`] — a fork-able seeded RNG plus the distribution samplers used by
 //!   the failure and workload models;
-//! - [`stats`] — streaming statistics, histograms, and empirical CDFs;
+//! - [`stats`] — streaming statistics, quantiles, and empirical CDFs;
 //! - [`special`] — log-gamma, incomplete gamma, and normal/Gamma
 //!   CDF/quantile functions backing the confidence-interval math.
 //!
@@ -40,6 +41,7 @@
 //! ```
 
 pub mod bitset;
+pub mod cli;
 pub mod event;
 pub mod fnv;
 pub mod rng;

@@ -11,7 +11,6 @@
 //!
 //! Run `rsc help` for usage.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -30,6 +29,7 @@ use rsc_reliability::analysis::queueing::{mean_wait_hours, wait_by_size_and_qos}
 use rsc_reliability::analysis::report::{size_distribution, status_breakdown};
 use rsc_reliability::sched::accounting::JobRecord;
 use rsc_reliability::sim::{ClusterSim, SimConfig};
+use rsc_reliability::simcore::cli::{self, Args};
 use rsc_reliability::simcore::rng::SimRng;
 use rsc_reliability::simcore::time::SimDuration;
 use rsc_reliability::telemetry::store::TelemetryStore;
@@ -48,8 +48,7 @@ USAGE:
   rsc help
 ";
 
-type Flags = HashMap<String, String>;
-type Command = fn(&Flags) -> Result<(), String>;
+type Command = fn(&Args) -> Result<(), String>;
 
 /// Each subcommand with the flags `USAGE` lists for it.
 const COMMANDS: [(&str, &[&str], Command); 4] = [
@@ -87,7 +86,9 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => match COMMANDS.iter().find(|(name, ..)| *name == other) {
-            Some((_, known, run)) => parse_flags(&args[1..], known).and_then(|flags| run(&flags)),
+            Some((_, known, run)) => {
+                cli::parse(args[1..].iter().cloned(), known, &[]).and_then(|flags| run(&flags))
+            }
             None => Err(format!("unknown command {other:?}\n{USAGE}")),
         },
     };
@@ -100,51 +101,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--name value` pairs, rejecting any flag not in `known` and any
-/// stray positional argument, so a typo never silently runs the default.
-fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
-    let mut flags = HashMap::new();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected argument {arg:?}"));
-        };
-        if !known.contains(&name) {
-            let expected = known.iter().map(|k| format!("--{k}")).collect::<Vec<_>>();
-            return Err(format!(
-                "unknown flag --{name} (expected one of {})",
-                expected.join(", ")
-            ));
-        }
-        let value = args.next().ok_or(format!("--{name} expects a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
-
-fn flag_u64(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects an integer, got {v:?}")),
-    }
-}
-
-fn flag_f64(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects a number, got {v:?}")),
-    }
-}
-
-fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let cluster = flags.get("cluster").map(String::as_str).unwrap_or("small");
-    let days = flag_u64(flags, "days", 30)?;
-    let scale = flag_u64(flags, "scale", 1)? as u32;
-    let seed = flag_u64(flags, "seed", 42)?;
+fn cmd_simulate(flags: &Args) -> Result<(), String> {
+    let cluster = flags.get("cluster").unwrap_or("small");
+    let days = flags.parse_or("days", 30)?;
+    let scale = flags.parse_or("scale", 1)?;
+    let seed = flags.parse_or("seed", 42)?;
     let mut config = match cluster {
         "rsc1" => SimConfig::rsc1(),
         "rsc2" => SimConfig::rsc2(),
@@ -154,9 +115,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     if scale > 1 {
         config = config.scaled_down(scale);
     }
-    if let Some(l) = flags.get("lemons") {
-        config.lemon_count = l.parse().map_err(|_| "--lemons expects an integer")?;
-    }
+    config.lemon_count = flags.parse_or("lemons", config.lemon_count)?;
     println!(
         "simulating {} ({} nodes, {} GPUs) for {days} days, seed {seed}...",
         config.cluster.name(),
@@ -209,7 +168,7 @@ fn fleet_size(records: &[JobRecord]) -> Result<u32, NodeIdOutOfRange> {
     u32::try_from(u64::from(top.index()) + 1).map_err(|_| NodeIdOutOfRange { node: top.index() })
 }
 
-fn cmd_analyze(flags: &Flags) -> Result<(), String> {
+fn cmd_analyze(flags: &Args) -> Result<(), String> {
     let path = flags
         .get("trace")
         .ok_or("analyze requires --trace <file>")?;
@@ -323,8 +282,8 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_project(flags: &Flags) -> Result<(), String> {
-    let rate = flag_f64(flags, "rate", 6.50)? / 1000.0;
+fn cmd_project(flags: &Args) -> Result<(), String> {
+    let rate = flags.parse_or("rate", 6.50)? / 1000.0;
     let gpus: Vec<u32> = match flags.get("gpus") {
         None => vec![1024, 4096, 16_384, 65_536, 131_072],
         Some(v) => v
@@ -348,20 +307,20 @@ fn cmd_project(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ettr(flags: &Flags) -> Result<(), String> {
-    let gpus = flag_u64(flags, "gpus", 0)? as u32;
+fn cmd_ettr(flags: &Args) -> Result<(), String> {
+    let gpus = flags.parse_or("gpus", 0u32)?;
     if gpus == 0 {
         return Err("ettr requires --gpus <count>".to_string());
     }
     let params = EttrParams {
         nodes: gpus.div_ceil(8),
-        r_f: flag_f64(flags, "rate", 6.50)? / 1000.0,
-        queue_time: flag_f64(flags, "queue", 5.0)? / 60.0 / 24.0,
-        restart_overhead: flag_f64(flags, "overhead", 5.0)? / 60.0 / 24.0,
-        checkpoint_interval: flag_f64(flags, "checkpoint", 60.0)? / 60.0 / 24.0,
-        productive_time: flag_f64(flags, "work", 7.0)?,
+        r_f: flags.parse_or("rate", 6.50)? / 1000.0,
+        queue_time: flags.parse_or("queue", 5.0)? / 60.0 / 24.0,
+        restart_overhead: flags.parse_or("overhead", 5.0)? / 60.0 / 24.0,
+        checkpoint_interval: flags.parse_or("checkpoint", 60.0)? / 60.0 / 24.0,
+        productive_time: flags.parse_or("work", 7.0)?,
     };
-    let trials = flag_u64(flags, "trials", 4000)? as u32;
+    let trials = flags.parse_or("trials", 4000)?;
     let analytic = expected_ettr(&params);
     let mut rng = SimRng::seed_from(1);
     let mc = monte_carlo_ettr(&params, trials, &mut rng);
@@ -388,29 +347,29 @@ fn cmd_ettr(flags: &Flags) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn args(raw: &[&str]) -> Vec<String> {
-        raw.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn known(cmd: &str) -> &'static [&'static str] {
-        COMMANDS.iter().find(|(name, ..)| *name == cmd).unwrap().1
+    /// Parses `raw` against the flags `USAGE` lists for `cmd`.
+    fn parse(cmd: &str, raw: &[&str]) -> Result<Args, String> {
+        let known = COMMANDS.iter().find(|(name, ..)| *name == cmd).unwrap().1;
+        cli::parse(raw.iter().map(|s| s.to_string()), known, &[])
     }
 
     #[test]
     fn mistyped_flag_is_rejected_by_name() {
-        let err = parse_flags(&args(&["--sead", "5"]), known("simulate")).unwrap_err();
+        let err = parse("simulate", &["--sead", "5"]).unwrap_err();
         assert!(err.contains("--sead"), "{err}");
         // A flag of another subcommand is just as unknown here.
-        assert!(parse_flags(&args(&["--trials", "9"]), known("simulate")).is_err());
-        let flags = parse_flags(&args(&["--seed", "5"]), known("simulate")).unwrap();
-        assert_eq!(flags["seed"], "5");
+        assert!(parse("simulate", &["--trials", "9"]).is_err());
+        let flags = parse("simulate", &["--seed", "5"]).unwrap();
+        assert_eq!(flags.get("seed"), Some("5"));
+        let flags = parse("ettr", &["--gpus=16"]).unwrap();
+        assert_eq!(flags.parse_or("gpus", 0u32), Ok(16));
     }
 
     #[test]
     fn stray_positional_and_missing_value_are_rejected() {
-        let err = parse_flags(&args(&["--days", "3", "extra"]), known("simulate")).unwrap_err();
+        let err = parse("simulate", &["--days", "3", "extra"]).unwrap_err();
         assert!(err.contains("\"extra\""), "{err}");
-        let err = parse_flags(&args(&["--trace"]), known("analyze")).unwrap_err();
+        let err = parse("analyze", &["--trace"]).unwrap_err();
         assert!(err.contains("--trace"), "{err}");
     }
 
@@ -423,8 +382,7 @@ mod tests {
              1,0,,8,normal,{node},0,60,3600,NODE_FAIL,,\n"
         );
         std::fs::write(&path, trace).unwrap();
-        let flags = Flags::from([("trace".to_string(), path.display().to_string())]);
-        let result = cmd_analyze(&flags);
+        let result = cmd_analyze(&parse("analyze", &["--trace", path.to_str().unwrap()]).unwrap());
         std::fs::remove_file(&path).unwrap();
         result
     }
