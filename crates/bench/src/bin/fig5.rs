@@ -2,9 +2,8 @@
 //! year, broken down by failure mode, with health-check introduction dates
 //! annotated (30-day rolling average).
 
-use rsc_core::attribution::{attribute_failures, AttributionConfig};
+use rsc_core::attribution::{attribute_failures, is_infra_failure, AttributionConfig};
 use rsc_health::registry::CheckRegistry;
-use rsc_sched::job::JobStatus;
 use rsc_sim_core::time::{SimDuration, SimTime};
 use rsc_telemetry::rolling::rolling_rate;
 
@@ -24,9 +23,7 @@ fn main() {
     let mut series: std::collections::BTreeMap<String, Vec<SimTime>> = Default::default();
     for a in &attributions {
         let r = &store.jobs()[a.record_index];
-        let is_hw = matches!(r.status, JobStatus::NodeFail | JobStatus::Requeued)
-            || (r.status == JobStatus::Failed && a.is_attributed());
-        if !is_hw {
+        if !is_infra_failure(r.status, a) {
             continue;
         }
         let label = a

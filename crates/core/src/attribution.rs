@@ -74,7 +74,7 @@ pub fn is_failure_status(status: JobStatus) -> bool {
 
 /// Whether an attributed record is an *infrastructure* failure:
 /// NODE_FAIL and REQUEUED always, FAILED only with a health-check cause.
-pub(crate) fn is_infra_failure(status: JobStatus, attribution: &Attribution) -> bool {
+pub fn is_infra_failure(status: JobStatus, attribution: &Attribution) -> bool {
     matches!(status, JobStatus::NodeFail | JobStatus::Requeued)
         || (status == JobStatus::Failed && attribution.is_attributed())
 }

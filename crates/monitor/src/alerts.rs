@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 
 use rsc_cluster::ids::NodeId;
 use rsc_sim_core::time::{SimDuration, SimTime};
+use rsc_telemetry::json;
 
 /// What an alert is about. Keys identify alerts for dedup and debounce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -74,6 +75,26 @@ impl Alert {
     /// Whether the alert is still active.
     pub fn is_active(&self) -> bool {
         self.cleared_at.is_none()
+    }
+
+    /// The alert as one JSON object: the monitor report's `alerts` entries
+    /// and the `alert` of an SSE alert frame.
+    pub fn to_json(&self) -> String {
+        json::Object::new()
+            .field("kind", &json::string(self.key.label()))
+            .field(
+                "node",
+                &json::opt(&self.key.node(), |n| n.index().to_string()),
+            )
+            .field("raised_at_days", &json::f64(self.raised_at.as_days()))
+            .field(
+                "cleared_at_days",
+                &json::opt(&self.cleared_at, |t| json::f64(t.as_days())),
+            )
+            .field("value", &json::f64(self.value))
+            .field("threshold", &json::f64(self.threshold))
+            .field("message", &json::string(&self.message))
+            .finish()
     }
 }
 

@@ -3,8 +3,9 @@
 //!
 //! [`MonitorReport`] derives `PartialEq` so the agreement harness can
 //! assert that a live run and a replayed cached run produce *identical*
-//! reports. JSON export is hand-rolled (the workspace carries no JSON
-//! dependency); non-finite floats serialize as `null`.
+//! reports. JSON export is built with [`rsc_telemetry::json`] (the
+//! workspace carries no JSON dependency); non-finite floats serialize as
+//! `null`.
 
 use rsc_cluster::ids::NodeId;
 use rsc_core::availability::AvailabilitySnapshot;
@@ -146,102 +147,71 @@ impl MonitorReport {
 
     /// Serializes the report as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push('{');
-        push_field(&mut out, "cluster", &json::string(&self.cluster));
-        push_field(&mut out, "num_nodes", &self.num_nodes.to_string());
-        push_field(&mut out, "at_days", &json::f64(self.at_days));
-        push_field(&mut out, "gpu_swaps", &self.gpu_swaps.to_string());
-        push_field(&mut out, "counters", &counters_json(&self.counters));
-        let points: Vec<String> = self.mttf_points.iter().map(mttf_point_json).collect();
-        push_field(&mut out, "mttf_points", &format!("[{}]", points.join(",")));
-        push_field(
-            &mut out,
-            "overall_mttf_hours",
-            &json::f64(self.overall_mttf_hours),
-        );
-        let rolling = match &self.rolling_mttf {
-            Some(r) => format!(
-                "{{\"failures\":{},\"exposure_hours\":{},\"mttf_hours\":{},\"ci90\":{}}}",
-                r.failures,
-                json::f64(r.exposure_hours),
-                json::f64(r.mttf_hours),
-                match r.ci90 {
-                    Some((lo, hi)) => format!("[{},{}]", json::f64(lo), json::f64(hi)),
-                    None => "null".to_string(),
-                }
-            ),
-            None => "null".to_string(),
-        };
-        push_field(&mut out, "rolling_mttf", &rolling);
-        push_field(
-            &mut out,
-            "failure_rate_per_node_day",
-            &json::f64(self.failure_rate_per_node_day),
-        );
-        push_field(
-            &mut out,
-            "expected_ettr",
-            &self
-                .expected_ettr
-                .map(json::f64)
-                .unwrap_or_else(|| "null".to_string()),
-        );
         let a = &self.availability;
-        push_field(
-            &mut out,
-            "availability",
-            &format!(
-                "{{\"fleet_availability\":{},\"mttr_hours\":{},\"mttr_p90_hours\":{},\"lost_node_days\":{},\"completed_repairs\":{},\"open_intervals\":{}}}",
-                json::f64(a.fleet_availability),
-                json::f64(a.mttr_hours),
-                json::f64(a.mttr_p90_hours),
-                json::f64(a.lost_node_days),
-                a.completed_repairs,
-                a.open_intervals
-            ),
-        );
-        push_field(
-            &mut out,
-            "failures_injected",
-            &self.failures_injected.to_string(),
-        );
-        push_field(
-            &mut out,
-            "failures_detected",
-            &self.failures_detected.to_string(),
-        );
-        push_field(
-            &mut out,
-            "time_to_detect_hours",
-            &histogram_json(&self.time_to_detect_hours),
-        );
-        push_field(
-            &mut out,
-            "time_to_repair_hours",
-            &histogram_json(&self.time_to_repair_hours),
-        );
-        let suspects: Vec<String> = self
-            .lemon_suspects
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"node\":{},\"score\":{},\"flagged\":{}}}",
-                    s.node, s.score, s.flagged
-                )
-            })
-            .collect();
-        push_field(
-            &mut out,
-            "lemon_suspects",
-            &format!("[{}]", suspects.join(",")),
-        );
-        let alerts: Vec<String> = self.alerts.iter().map(alert_json).collect();
-        push_field(&mut out, "alerts", &format!("[{}]", alerts.join(",")));
-        // Drop the trailing comma push_field left behind.
-        out.pop();
-        out.push('}');
-        out
+        let rolling = json::opt(&self.rolling_mttf, |r| {
+            json::Object::new()
+                .field("failures", &r.failures.to_string())
+                .field("exposure_hours", &json::f64(r.exposure_hours))
+                .field("mttf_hours", &json::f64(r.mttf_hours))
+                .field("ci90", &ci90_json(r.ci90))
+                .finish()
+        });
+        json::Object::new()
+            .field("cluster", &json::string(&self.cluster))
+            .field("num_nodes", &self.num_nodes.to_string())
+            .field("at_days", &json::f64(self.at_days))
+            .field("gpu_swaps", &self.gpu_swaps.to_string())
+            .field("counters", &counters_json(&self.counters))
+            .field(
+                "mttf_points",
+                &json::array(self.mttf_points.iter().map(mttf_point_json)),
+            )
+            .field("overall_mttf_hours", &json::f64(self.overall_mttf_hours))
+            .field("rolling_mttf", &rolling)
+            .field(
+                "failure_rate_per_node_day",
+                &json::f64(self.failure_rate_per_node_day),
+            )
+            .field(
+                "expected_ettr",
+                &json::opt(&self.expected_ettr, |x| json::f64(*x)),
+            )
+            .field(
+                "availability",
+                &json::Object::new()
+                    .field("fleet_availability", &json::f64(a.fleet_availability))
+                    .field("mttr_hours", &json::f64(a.mttr_hours))
+                    .field("mttr_p90_hours", &json::f64(a.mttr_p90_hours))
+                    .field("lost_node_days", &json::f64(a.lost_node_days))
+                    .field("completed_repairs", &a.completed_repairs.to_string())
+                    .field("open_intervals", &a.open_intervals.to_string())
+                    .finish(),
+            )
+            .field("failures_injected", &self.failures_injected.to_string())
+            .field("failures_detected", &self.failures_detected.to_string())
+            .field(
+                "time_to_detect_hours",
+                &histogram_json(&self.time_to_detect_hours),
+            )
+            .field(
+                "time_to_repair_hours",
+                &histogram_json(&self.time_to_repair_hours),
+            )
+            .field(
+                "lemon_suspects",
+                &json::array(self.lemon_suspects.iter().map(|s| {
+                    json::Object::new()
+                        .field("node", &s.node.to_string())
+                        .field("score", &s.score.to_string())
+                        .field("flagged", &s.flagged.to_string())
+                        .finish()
+                })),
+            )
+            .field(
+                "alerts",
+                &json::array(self.alerts.iter().map(Alert::to_json)),
+            )
+            .finish()
     }
 
     /// Compact human-readable lines, for terminal quickstarts.
@@ -291,80 +261,58 @@ impl MonitorReport {
     }
 }
 
-fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-    out.push(',');
-}
-
 fn counters_json(c: &Counters) -> String {
-    format!(
-        "{{\"jobs\":{},\"jobs_started\":{},\"completed\":{},\"failed\":{},\"node_fail\":{},\"requeued\":{},\"preempted\":{},\"other\":{},\"gpu_hours\":{},\"health_events\":{},\"false_positives\":{},\"node_events\":{},\"quarantined\":{},\"exclusions\":{},\"ground_truth\":{},\"ckpt_fallbacks\":{},\"fallback_lost_gpu_hours\":{},\"control_actions\":{},\"ticks\":{}}}",
-        c.jobs,
-        c.jobs_started,
-        c.completed,
-        c.failed,
-        c.node_fail,
-        c.requeued,
-        c.preempted,
-        c.other,
-        json::f64(c.gpu_hours),
-        c.health_events,
-        c.false_positives,
-        c.node_events,
-        c.quarantined,
-        c.exclusions,
-        c.ground_truth,
-        c.ckpt_fallbacks,
-        json::f64(c.fallback_lost_gpu_hours),
-        c.control_actions,
-        c.ticks
-    )
+    json::Object::new()
+        .field("jobs", &c.jobs.to_string())
+        .field("jobs_started", &c.jobs_started.to_string())
+        .field("completed", &c.completed.to_string())
+        .field("failed", &c.failed.to_string())
+        .field("node_fail", &c.node_fail.to_string())
+        .field("requeued", &c.requeued.to_string())
+        .field("preempted", &c.preempted.to_string())
+        .field("other", &c.other.to_string())
+        .field("gpu_hours", &json::f64(c.gpu_hours))
+        .field("health_events", &c.health_events.to_string())
+        .field("false_positives", &c.false_positives.to_string())
+        .field("node_events", &c.node_events.to_string())
+        .field("quarantined", &c.quarantined.to_string())
+        .field("exclusions", &c.exclusions.to_string())
+        .field("ground_truth", &c.ground_truth.to_string())
+        .field("ckpt_fallbacks", &c.ckpt_fallbacks.to_string())
+        .field(
+            "fallback_lost_gpu_hours",
+            &json::f64(c.fallback_lost_gpu_hours),
+        )
+        .field("control_actions", &c.control_actions.to_string())
+        .field("ticks", &c.ticks.to_string())
+        .finish()
 }
 
 fn mttf_point_json(p: &MttfPoint) -> String {
-    format!(
-        "{{\"gpus\":{},\"failures\":{},\"exposure_hours\":{},\"mttf_hours\":{},\"ci90\":{}}}",
-        p.gpus,
-        p.failures,
-        json::f64(p.exposure_hours),
-        json::f64(p.mttf_hours),
-        match p.ci90 {
-            Some((lo, hi)) => format!("[{},{}]", json::f64(lo), json::f64(hi)),
-            None => "null".to_string(),
-        }
-    )
+    json::Object::new()
+        .field("gpus", &p.gpus.to_string())
+        .field("failures", &p.failures.to_string())
+        .field("exposure_hours", &json::f64(p.exposure_hours))
+        .field("mttf_hours", &json::f64(p.mttf_hours))
+        .field("ci90", &ci90_json(p.ci90))
+        .finish()
 }
 
-fn alert_json(a: &Alert) -> String {
-    format!(
-        "{{\"kind\":{},\"node\":{},\"raised_at_days\":{},\"cleared_at_days\":{},\"value\":{},\"threshold\":{},\"message\":{}}}",
-        json::string(a.key.label()),
-        a.key
-            .node()
-            .map(|n| n.index().to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        json::f64(a.raised_at.as_days()),
-        a.cleared_at
-            .map(|t| json::f64(t.as_days()))
-            .unwrap_or_else(|| "null".to_string()),
-        json::f64(a.value),
-        json::f64(a.threshold),
-        json::string(&a.message)
-    )
+/// A 90% interval as a `[lo, hi]` pair, `null` when there is none.
+fn ci90_json(ci90: Option<(f64, f64)>) -> String {
+    json::opt(&ci90, |&(lo, hi)| {
+        json::array([json::f64(lo), json::f64(hi)])
+    })
 }
 
 fn histogram_json(h: &HistogramSummary) -> String {
-    format!(
-        "{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"max\":{}}}",
-        h.count,
-        json::f64(h.mean),
-        json::f64(h.p50),
-        json::f64(h.p90),
-        json::f64(h.max)
-    )
+    json::Object::new()
+        .field("count", &h.count.to_string())
+        .field("mean", &json::f64(h.mean))
+        .field("p50", &json::f64(h.p50))
+        .field("p90", &json::f64(h.p90))
+        .field("max", &json::f64(h.max))
+        .finish()
 }
 
 #[cfg(test)]

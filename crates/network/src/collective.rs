@@ -73,22 +73,6 @@ impl CollectiveBandwidth {
         self.busbw_gbps.iter().sum::<f64>() / self.busbw_gbps.len() as f64
     }
 
-    /// Coefficient of variation (std/mean) — the paper's Fig. 12b shows AR
-    /// lowering variance under contention.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let mean = self.mean();
-        if mean == 0.0 || self.busbw_gbps.len() < 2 {
-            return 0.0;
-        }
-        let var = self
-            .busbw_gbps
-            .iter()
-            .map(|b| (b - mean).powi(2))
-            .sum::<f64>()
-            / (self.busbw_gbps.len() - 1) as f64;
-        var.sqrt() / mean
-    }
-
     /// Minimum per-collective bandwidth.
     pub fn min(&self) -> f64 {
         self.busbw_gbps

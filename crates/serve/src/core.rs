@@ -256,11 +256,8 @@ impl ServiceState {
             (Method::Get, ["healthz"]) => Action::Respond(Response::json(200, self.healthz_json())),
             (Method::Post, ["api", "v1", "sweeps"]) => Action::Respond(self.submit_sweep(req)),
             (Method::Get, ["api", "v1", "jobs"]) => {
-                let jobs = self.jobs.list();
-                let body = format!(
-                    "{{\"jobs\":[{}]}}",
-                    jobs.iter().map(job_json).collect::<Vec<_>>().join(",")
-                );
+                let jobs = json::array(self.jobs.list().iter().map(job_json));
+                let body = json::Object::new().field("jobs", &jobs).finish();
                 Action::Respond(Response::json(200, body))
             }
             (Method::Get, ["api", "v1", "jobs", id]) => Action::Respond(self.job_status(id)),
@@ -427,27 +424,23 @@ impl ServiceState {
                 }
             }
         }
-        let jobs = accepted
-            .iter()
-            .map(|(id, seed)| {
-                let snap = self.jobs.get(*id).expect("just submitted");
-                json::Object::new()
-                    .field("id", &id.to_string())
-                    .field("seed", &seed.to_string())
-                    .field(
-                        "fingerprint",
-                        &json::string(&format!("{:016x}", snap.fingerprint)),
-                    )
-                    .finish()
-            })
-            .collect::<Vec<_>>()
-            .join(",");
+        let jobs = json::array(accepted.iter().map(|(id, seed)| {
+            let snap = self.jobs.get(*id).expect("just submitted");
+            json::Object::new()
+                .field("id", &id.to_string())
+                .field("seed", &seed.to_string())
+                .field(
+                    "fingerprint",
+                    &json::string(&format!("{:016x}", snap.fingerprint)),
+                )
+                .finish()
+        }));
         Response::json(
             202,
             json::Object::new()
                 .field("preset", &json::string(preset))
                 .field("days", &days.to_string())
-                .field("jobs", &format!("[{jobs}]"))
+                .field("jobs", &jobs)
                 .finish(),
         )
     }

@@ -4,25 +4,10 @@
 //! and a live run — which produce identical `MonitorEvent` sequences (see
 //! `rsc_monitor::tap`) — stream identical frames.
 
-use rsc_monitor::alerts::Alert;
 use rsc_monitor::tap::MonitorEvent;
 use rsc_telemetry::store::ControlActionEvent;
 
 use crate::json;
-
-fn alert_fields(a: &Alert) -> json::Object {
-    json::Object::new()
-        .field("kind", &json::string(a.key.label()))
-        .field("node", &json::opt(&a.key.node(), |n| n.index().to_string()))
-        .field("raised_at_days", &json::f64(a.raised_at.as_days()))
-        .field(
-            "cleared_at_days",
-            &json::opt(&a.cleared_at, |t| json::f64(t.as_days())),
-        )
-        .field("value", &json::f64(a.value))
-        .field("threshold", &json::f64(a.threshold))
-        .field("message", &json::string(&a.message))
-}
 
 fn action_json(a: &ControlActionEvent) -> String {
     json::Object::new()
@@ -43,7 +28,7 @@ pub fn monitor_event_json(event: &MonitorEvent) -> String {
         MonitorEvent::AlertRaised { seq, alert } | MonitorEvent::AlertCleared { seq, alert } => {
             json::Object::new()
                 .field("seq", &seq.to_string())
-                .field("alert", &alert_fields(alert).finish())
+                .field("alert", &alert.to_json())
                 .finish()
         }
         MonitorEvent::Action(a) => action_json(a),
@@ -71,7 +56,7 @@ pub fn monitor_event_json(event: &MonitorEvent) -> String {
 mod tests {
     use super::*;
     use rsc_cluster::ids::{JobId, NodeId};
-    use rsc_monitor::alerts::AlertKey;
+    use rsc_monitor::alerts::{Alert, AlertKey};
     use rsc_monitor::tap::EstimateTick;
     use rsc_sim_core::time::SimTime;
     use rsc_telemetry::store::{ControlActionKind, ControlTrigger};

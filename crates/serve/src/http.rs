@@ -11,6 +11,8 @@
 
 use std::io::{self, BufRead, Write};
 
+use crate::json;
+
 /// Longest accepted request line, bytes (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Longest accepted header line, bytes.
@@ -380,11 +382,10 @@ impl Response {
     pub fn error(status: u16, label: &str, detail: &str) -> Self {
         Self::json(
             status,
-            format!(
-                "{{\"error\":{},\"detail\":{}}}",
-                crate::json::string(label),
-                crate::json::string(detail)
-            ),
+            json::Object::new()
+                .field("error", &json::string(label))
+                .field("detail", &json::string(detail))
+                .finish(),
         )
     }
 
@@ -431,6 +432,16 @@ mod tests {
         assert_eq!(req.query("preset"), Some("small test"));
         assert_eq!(req.query("seeds"), Some("1,2 3"));
         assert_eq!(req.header("host"), Some("x"));
+    }
+
+    #[test]
+    fn error_body_bytes_are_pinned() {
+        let r = Response::error(404, "unknown_job", "no such \"id\"");
+        assert_eq!(r.status, 404);
+        assert_eq!(
+            r.body,
+            br#"{"error":"unknown_job","detail":"no such \"id\""}"#
+        );
     }
 
     #[test]

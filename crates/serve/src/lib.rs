@@ -56,6 +56,8 @@ pub mod core;
 pub mod events;
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod server;
 pub mod sse;
+
+/// The workspace's one JSON writer, re-exported under its old path.
+pub use rsc_telemetry::json;

@@ -171,75 +171,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// A fixed-range histogram with uniform bins. Out-of-range observations are
-/// clamped into the first/last bin so mass is never silently dropped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` uniform bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Bin fractions summing to 1 (all zeros when empty).
-    pub fn fractions(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-}
-
 /// Empirical CDF over a sample, for plotting and threshold analysis.
 ///
 /// ```
@@ -361,25 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(-5.0);
-        h.push(100.0);
-        h.push(4.9);
-        assert_eq!(h.counts(), &[1, 0, 1, 0, 1]);
-        assert_eq!(h.total(), 3);
-        let fr = h.fractions();
-        assert!((fr.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ecdf_basics() {
         let cdf = Ecdf::from_samples([5.0, 1.0, 3.0, 3.0]);
         assert_eq!(cdf.len(), 4);
@@ -394,83 +306,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn ecdf_rejects_nan() {
         let _ = Ecdf::from_samples([1.0, f64::NAN]);
-    }
-}
-
-/// Bootstrap percentile confidence interval for the mean of a sample.
-///
-/// Resamples with replacement `resamples` times and returns the
-/// `(lo, hi)` percentile bounds at the given two-sided `confidence`
-/// (e.g. `0.90` → the 5th and 95th percentile of resampled means).
-/// Returns `None` for empty samples.
-///
-/// ```
-/// use rsc_sim_core::rng::SimRng;
-/// use rsc_sim_core::stats::bootstrap_mean_ci;
-///
-/// let xs: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-/// let mut rng = SimRng::seed_from(1);
-/// let (lo, hi) = bootstrap_mean_ci(&xs, 0.90, 1000, &mut rng).unwrap();
-/// assert!(lo < 4.5 && 4.5 < hi);
-/// ```
-pub fn bootstrap_mean_ci(
-    samples: &[f64],
-    confidence: f64,
-    resamples: u32,
-    rng: &mut crate::rng::SimRng,
-) -> Option<(f64, f64)> {
-    if samples.is_empty() {
-        return None;
-    }
-    let n = samples.len();
-    let mut means = Vec::with_capacity(resamples as usize);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..n {
-            sum += samples[rng.below(n as u64) as usize];
-        }
-        means.push(sum / n as f64);
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
-    let alpha = (1.0 - confidence.clamp(0.0, 1.0)) / 2.0;
-    let lo = quantile_sorted(&means, alpha)?;
-    let hi = quantile_sorted(&means, 1.0 - alpha)?;
-    Some((lo, hi))
-}
-
-#[cfg(test)]
-mod bootstrap_tests {
-    use super::*;
-    use crate::rng::SimRng;
-
-    #[test]
-    fn brackets_true_mean() {
-        let mut rng = SimRng::seed_from(2);
-        let xs: Vec<f64> = (0..500).map(|_| rng.normal(7.0, 2.0)).collect();
-        let (lo, hi) = bootstrap_mean_ci(&xs, 0.95, 2000, &mut rng).unwrap();
-        assert!(lo < 7.0 && 7.0 < hi, "({lo}, {hi})");
-        // Interval width shrinks roughly like 1/sqrt(n).
-        let xs_big: Vec<f64> = (0..5000).map(|_| rng.normal(7.0, 2.0)).collect();
-        let (lo2, hi2) = bootstrap_mean_ci(&xs_big, 0.95, 2000, &mut rng).unwrap();
-        assert!(hi2 - lo2 < (hi - lo) * 0.6);
-    }
-
-    #[test]
-    fn agrees_with_normal_approximation() {
-        let mut rng = SimRng::seed_from(3);
-        let xs: Vec<f64> = (0..1000).map(|_| rng.exponential(0.2)).collect();
-        let stats: StreamingStats = xs.iter().copied().collect();
-        let (nlo, nhi) = stats.mean_confidence_interval(0.90);
-        let (blo, bhi) = bootstrap_mean_ci(&xs, 0.90, 4000, &mut rng).unwrap();
-        assert!(
-            (nlo - blo).abs() < 0.05 && (nhi - bhi).abs() < 0.05,
-            "normal ({nlo},{nhi}) vs bootstrap ({blo},{bhi})"
-        );
-    }
-
-    #[test]
-    fn empty_returns_none() {
-        let mut rng = SimRng::seed_from(4);
-        assert!(bootstrap_mean_ci(&[], 0.9, 100, &mut rng).is_none());
     }
 }
