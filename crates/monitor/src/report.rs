@@ -417,8 +417,8 @@ mod tests {
         }
     }
 
-    /// Bytes recorded from the `format!`-template renderer this report
-    /// used before it was built through `json::Object`.
+    /// The served analysis bodies and the benchmark's report digest are
+    /// these bytes, so any change to them is a visible break.
     #[test]
     fn report_json_bytes_are_pinned() {
         let expected = concat!(

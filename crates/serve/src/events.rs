@@ -135,8 +135,8 @@ mod tests {
             }),
             MonitorEvent::Finished { at_days: 7.0 },
         ];
-        // Bytes recorded from the renderer before the alert object moved
-        // into rsc-monitor.
+        // An alert frame embeds the same object as the report's `alerts`
+        // entries; live and replayed streams must keep these bytes.
         let expected = [
             concat!(
                 r#"{"seq":0,"alert":{"kind":"mttf_regression","node":null,"raised_at_days":3,"#,
