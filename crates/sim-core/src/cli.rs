@@ -30,7 +30,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// The flags and switches one command line set.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Args {
     values: HashMap<String, String>,
     switches: HashSet<String>,

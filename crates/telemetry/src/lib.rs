@@ -12,9 +12,9 @@
 //! to disk in a versioned, hand-rolled text format (the scenario cache's
 //! artifact), [`rolling`] provides the 30-day rolling failure-rate series
 //! behind the paper's Fig. 5, [`csv`] a dependency-free CSV exporter,
-//! [`json`] the matching JSON string and number renderers, and
-//! [`trace`] a `sacct`-like job-trace schema so the analyses can run over
-//! real accounting data.
+//! [`json`] the workspace's one JSON writer (every JSON body is built
+//! with it), and [`trace`] a `sacct`-like job-trace schema so the analyses
+//! can run over real accounting data.
 //!
 //! # Example
 //!
