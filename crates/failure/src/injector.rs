@@ -22,12 +22,12 @@
 //! ([`HazardSchedule::era_table`]): one common per-mode row, shared by
 //! every node that carries no lemon multiplier and sits in no active
 //! `NodeFilter::Set` window, plus one row per such special node. The table
-//! keeps those rows, and per column only a small/large class bit and a
-//! `u32` alias; acceptance probabilities are stored for large columns
-//! alone, since a small column's is recomputed from its rate at draw time,
-//! bit for bit. At a million nodes × 12 modes that is ~84 MB where a dense
-//! `f64` + `u32` layout took 144 MB, and no `nodes × modes` rate array is
-//! ever made.
+//! keeps those rows, and per column only a small/large class bit. Large
+//! columns store their acceptance probability and one donor mark; a small
+//! column's acceptance is recomputed from its rate at draw time, bit for
+//! bit, and its alias found from the donor marks. At a million nodes × 12
+//! modes that is ~52 MB where a dense `f64` + `u32` layout took 144 MB,
+//! and no `nodes × modes` rate or alias array is ever made.
 //!
 //! This replaces a `nodes × modes`-entry candidate heap (819k entries at
 //! 102k nodes) with O(1) amortized work per emitted failure, and makes

@@ -486,16 +486,16 @@ impl RowWeights {
         })
     }
 
-    /// Every row from the last to the first, as `(first category, weights)`.
-    fn rows_rev(&self) -> impl Iterator<Item = (usize, &[f64])> {
+    /// Every row from the last to the first, as `(first category, own
+    /// weights)`: `None` for a row that shares the common one.
+    fn rows_rev(&self) -> impl Iterator<Item = (usize, Option<&[f64]>)> {
         let width = self.width();
         let mut own = self.listed.iter().rev().peekable();
         let mut own_weights = self.listed_weights.chunks_exact(width).rev();
         (0..self.rows).rev().map(move |row| {
-            let weights = match own.next_if_eq(&&row) {
-                Some(_) => own_weights.next().expect("one row per listed index"),
-                None => &self.common[..],
-            };
+            let weights = own
+                .next_if_eq(&&row)
+                .map(|_| own_weights.next().expect("one row per listed index"));
             (row as usize * width, weights)
         })
     }
@@ -511,11 +511,17 @@ impl RowWeights {
 /// sampled many times between rebuilds (e.g. the failure injector's merged
 /// candidate process, rebuilt only at hazard-era boundaries).
 ///
-/// The layout is compact: per column, one class bit and the `u32` alias.
+/// The layout is compact: per column, one class bit and nothing else.
 /// Only *large* columns (scaled weight at least 1) store their acceptance
 /// probability, since pairing changes them; a *small* column is never
 /// changed once classified, so its acceptance is recomputed from the
 /// weights the table owns, bit for bit what Vose's pass would have stored.
+/// No alias is stored either. The pairing takes its donors from the large
+/// columns highest first and meets the small columns highest first, so
+/// each donor serves one run of small columns: a small column's alias is
+/// the donor that was serving when the pairing reached it, found from one
+/// mark per donor and one starting donor per 64-column word. A donor that
+/// flips small is paired with the next donor, the large column below it.
 ///
 /// ```
 /// use rsc_sim_core::rng::{AliasTable, SimRng};
@@ -537,12 +543,24 @@ pub struct AliasTable {
     /// Per 64-column word of `small_bits`: the large columns before it.
     large_rank: Vec<u32>,
     /// Final acceptance probability of each large column, in column order.
+    /// A large column's index here is its *slot*; donors are taken from
+    /// the highest slot down.
     large_prob: Vec<f64>,
+    /// Per slot, non-decreasing: the small column at whose pairing the
+    /// donor took over. It serves the small columns below that one until
+    /// the next donor takes over. `u32::MAX` for the first donor, 0 for
+    /// donors the pairing never reached.
+    donor_from: Vec<u32>,
+    /// Per 64-column word of `small_bits`: the column of the donor that was
+    /// serving when the pairing reached the word's highest small column.
+    /// Every small column of the word is served by it or by a donor that
+    /// took over while the pairing crossed the word, most often a few
+    /// slots below, so a draw's search starts here. (The donor itself may
+    /// lie thousands of rows from the word.)
+    word_donor: Vec<u32>,
     /// Small columns below this index are rounding leftovers that Vose's
     /// pass never paired: their acceptance is 1.
     leftover_below: usize,
-    /// Fallback category for each column.
-    alias: Vec<u32>,
 }
 
 impl AliasTable {
@@ -565,7 +583,8 @@ impl AliasTable {
     /// weights laid out flat, but the flat weights are never made: the
     /// common row is classified once and its class bits and large values
     /// are copied per row, so at fleet scale (n = nodes × modes) the only
-    /// float array of size `O(n)` holds the large columns' acceptances.
+    /// arrays of size `O(n)` are the class bits and the large columns'
+    /// acceptances and donor marks.
     ///
     /// # Errors
     ///
@@ -637,56 +656,89 @@ impl AliasTable {
         // order — small columns and large donors, each taken highest index
         // first, a donor that flips small being the very next small one
         // paired — which makes the layout deterministic. Neither worklist is
-        // materialized: small columns and donors are each found by walking
-        // the rows downward, and a flipped donor is paired at once with the
-        // next donor. The donor walk tracks its slot in `large_prob` by
-        // counting down.
-        let mut alias = vec![0u32; n];
-        let mut donors = weights.rows_rev().flat_map(|(start, row)| {
-            let large = move |&col: &usize| row[col] * scale >= 1.0;
-            (0..row.len())
-                .rev()
-                .filter(large)
-                .map(move |col| start + col)
-        });
-        let mut donor = donors.next();
-        // Large columns at or below the donor; its slot is one less.
-        let mut large_left = large_prob.len();
+        // materialized: one walk meets the small columns row by row
+        // downward (a common row's from a list made once), and the donor
+        // is a slot counting down, its running acceptance in `acc`. A
+        // flipped donor is paired at once with the next slot.
+        let small_cols = |row: &[f64], small: &mut Vec<(usize, f64)>| {
+            small.clear();
+            let scaled = row.iter().map(|w| w * scale).enumerate().rev();
+            small.extend(scaled.filter(|&(_, p)| p < 1.0));
+        };
+        let (mut common_small, mut row_small) = (Vec::new(), Vec::new());
+        small_cols(&weights.common, &mut common_small);
+        let mut donor_from = vec![0u32; large_prob.len()];
+        // The donor's slot as the pairing enters each word from above;
+        // words below `entered` are not reached yet.
+        let mut word_donor = vec![0u32; small_bits.len()];
+        let mut entered = small_bits.len();
+        // Donors not yet used up; the current one is slot `left - 1`.
+        let mut left = large_prob.len();
+        let mut acc = 0.0;
+        if let Some(last) = donor_from.last_mut() {
+            *last = u32::MAX;
+            acc = large_prob[left - 1];
+        }
         let mut leftover_below = 0;
-        'pairing: for (start, row) in weights.rows_rev() {
-            for (col, &w) in row.iter().enumerate().rev() {
-                let p = w * scale;
-                if p >= 1.0 {
-                    continue;
+        'pairing: for (start, own) in weights.rows_rev() {
+            let small = match own {
+                Some(row) => {
+                    small_cols(row, &mut row_small);
+                    &row_small
                 }
-                let (mut s, mut p_s, mut flipped) = (start + col, p, None);
+                None => &common_small,
+            };
+            for &(col, p) in small {
+                let s = start + col;
+                if s / 64 < entered {
+                    word_donor[s / 64..entered].fill(left.saturating_sub(1) as u32);
+                    entered = s / 64;
+                }
+                if left == 0 {
+                    // No large column at all: every small one is a
+                    // float-rounding leftover within an ulp of 1.
+                    leftover_below = s + 1;
+                    break 'pairing;
+                }
+                let mut p_s = p;
                 loop {
-                    let Some(l) = donor else {
-                        // Float-rounding leftovers sit within an ulp of 1;
-                        // treat as certain. An unpaired flipped donor is
-                        // large; unpaired small columns lie below a bound.
-                        leftover_below = start + col;
-                        match flipped {
-                            Some(slot) => large_prob[slot] = 1.0,
-                            None => leftover_below += 1,
-                        }
-                        break 'pairing;
-                    };
-                    alias[s] = l as u32;
-                    let slot = large_left - 1;
-                    large_prob[slot] = (large_prob[slot] + p_s) - 1.0;
-                    if large_prob[slot] >= 1.0 {
+                    acc = (acc + p_s) - 1.0;
+                    if acc >= 1.0 {
                         break;
                     }
-                    // The donor flips small and is paired next.
-                    (s, p_s, flipped) = (l, large_prob[slot], Some(slot));
-                    donor = donors.next();
-                    large_left = slot;
+                    // The donor flips small and is paired with the next.
+                    large_prob[left - 1] = acc;
+                    left -= 1;
+                    if left == 0 {
+                        // Nothing left to pair it with: a rounding
+                        // leftover, taken as certain like every small
+                        // column still below this one.
+                        large_prob[0] = 1.0;
+                        leftover_below = s;
+                        break 'pairing;
+                    }
+                    donor_from[left - 1] = s as u32;
+                    p_s = acc;
+                    acc = large_prob[left - 1];
                 }
             }
         }
-        drop(donors); // It borrows the rows the table is about to keep.
-        large_prob[..large_left].fill(1.0);
+        // The current donor and those below it were never flipped.
+        large_prob[..left].fill(1.0);
+        word_donor[..entered].fill(left.saturating_sub(1) as u32);
+        // Each word's donor slot to its column, in one downward sweep: the
+        // slots only fall as the words do.
+        if !large_prob.is_empty() {
+            let mut w = small_bits.len() - 1;
+            for donor in word_donor.iter_mut().rev() {
+                let slot = *donor as usize;
+                while large_rank[w] as usize > slot {
+                    w -= 1;
+                }
+                let nth = slot - large_rank[w] as usize;
+                *donor = (w * 64 + nth_large(small_bits[w], nth)) as u32;
+            }
+        }
         Ok(AliasTable {
             weights,
             scale,
@@ -694,19 +746,20 @@ impl AliasTable {
             small_bits,
             large_rank,
             large_prob,
+            donor_from,
+            word_donor,
             leftover_below,
-            alias,
         })
     }
 
     /// Number of categories.
     pub fn len(&self) -> usize {
-        self.alias.len()
+        self.weights.len()
     }
 
     /// True if there are no categories (cannot occur for a constructed value).
     pub fn is_empty(&self) -> bool {
-        self.alias.is_empty()
+        self.len() == 0
     }
 
     /// Sum of the weights the table was built from.
@@ -725,38 +778,122 @@ impl AliasTable {
 
     /// Column `i` as a draw reads it: its acceptance probability and its
     /// fallback category. The fallback is only read when the acceptance is
-    /// below 1.
+    /// below 1; where it is 1, the column itself is returned.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn column(&self, i: usize) -> (f64, u32) {
-        let (w, bit) = (i / 64, i % 64);
-        let word = self.small_bits[w];
-        let prob = if (word >> bit) & 1 == 1 {
-            if i < self.leftover_below {
-                1.0
-            } else {
-                self.weights.get(i) * self.scale
-            }
+        assert!(i < self.len(), "category {i} out of range");
+        let (prob, slot) = self.acceptance(i);
+        let alias = if prob < 1.0 {
+            self.fallback(i, slot)
         } else {
-            let below = !word & ((1u64 << bit) - 1);
-            self.large_prob[self.large_rank[w] as usize + below.count_ones() as usize]
+            i
         };
-        (prob, self.alias[i])
+        (prob, alias as u32)
     }
 
     /// Draws a category index proportional to its weight: one uniform
-    /// column pick plus one biased coin — O(1) regardless of `len`.
+    /// column pick plus one biased coin. The fallback is looked up only
+    /// when the coin rejects, by a search over a few slots and class words
+    /// next to the donor that served the top of the drawn column's word.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let i = rng.below(self.alias.len() as u64) as usize;
-        let (prob, alias) = self.column(i);
+        let i = rng.below(self.len() as u64) as usize;
+        let (prob, slot) = self.acceptance(i);
         if rng.uniform() < prob {
             i
         } else {
-            alias as usize
+            self.fallback(i, slot)
         }
     }
+
+    /// Column `i`'s acceptance probability, and its slot if it is large.
+    fn acceptance(&self, i: usize) -> (f64, Option<usize>) {
+        let (w, bit) = (i / 64, i % 64);
+        if (self.small_bits[w] >> bit) & 1 == 1 {
+            if i < self.leftover_below {
+                (1.0, None)
+            } else {
+                (self.weights.get(i) * self.scale, None)
+            }
+        } else {
+            let slot = self.slot(i);
+            (self.large_prob[slot], Some(slot))
+        }
+    }
+
+    /// The slot of large column `i`.
+    fn slot(&self, i: usize) -> usize {
+        let (w, bit) = (i / 64, i % 64);
+        let below = !self.small_bits[w] & ((1u64 << bit) - 1);
+        self.large_rank[w] as usize + below.count_ones() as usize
+    }
+
+    /// The fallback of column `i`, whose acceptance is below 1: for a
+    /// flipped donor (`slot` given), the next donor one slot down; for a
+    /// small column, the donor serving when the pairing reached it — the
+    /// lowest slot whose mark lies above `i`, at most the slot that served
+    /// the top of `i`'s word.
+    fn fallback(&self, i: usize, slot: Option<usize>) -> usize {
+        match slot {
+            Some(slot) => self.large_column(slot - 1, i / 64),
+            None => {
+                let top = self.word_donor[i / 64] as usize;
+                let serving = |from: u32| from as usize <= i;
+                let donor = partition_point_near(&self.donor_from, self.slot(top), serving);
+                self.large_column(donor, top / 64)
+            }
+        }
+    }
+
+    /// The column of large `slot`: its word is the last whose rank is at
+    /// most `slot`, searched outward from word `near`.
+    fn large_column(&self, slot: usize, near: usize) -> usize {
+        let w = partition_point_near(&self.large_rank, near, |rank| rank as usize <= slot) - 1;
+        w * 64 + nth_large(self.small_bits[w], slot - self.large_rank[w] as usize)
+    }
+}
+
+/// The bit position of the `nth` large (clear) bit of a class word,
+/// counting from 0 at the lowest.
+fn nth_large(word: u64, nth: usize) -> usize {
+    let mut large = !word;
+    for _ in 0..nth {
+        large &= large - 1;
+    }
+    large.trailing_zeros() as usize
+}
+
+/// The first index of `v` whose element fails `pred`, which must hold on a
+/// prefix of `v` and nowhere after it. Gallops outward from `start` and
+/// then bisects, so an answer `d` places away costs `O(log d)` probes.
+fn partition_point_near<T: Copy>(v: &[T], start: usize, pred: impl Fn(T) -> bool) -> usize {
+    let start = start.min(v.len());
+    let (mut lo, mut hi) = (0, v.len());
+    let mut step = 1;
+    if start < v.len() && pred(v[start]) {
+        lo = start + 1;
+        while let Some(&x) = v.get(start + step) {
+            if !pred(x) {
+                hi = start + step;
+                break;
+            }
+            lo = start + step + 1;
+            step *= 2;
+        }
+    } else {
+        hi = start;
+        while step <= start {
+            if pred(v[start - step]) {
+                lo = start - step + 1;
+                break;
+            }
+            hi = start - step;
+            step *= 2;
+        }
+    }
+    lo + v[lo..hi].partition_point(|&x| pred(x))
 }
 
 /// Classifies one row scaled by `scale`: its small bits, 64 columns per
@@ -1332,6 +1469,199 @@ mod tests {
         let expect = two_stack_vose(&flat).expect("valid weights");
         let table = AliasTable::from_rows(weights).expect("valid weights");
         assert_columns_match(&table, &expect);
+    }
+
+    /// Per-mode failure rates of a 12-mode fleet row, one mode never firing.
+    const FLEET_MODES: [f64; 12] = [
+        3.9e-3, 1.1e-3, 4.2e-4, 8.6e-4, 1.7e-3, 0.0, 2.2e-4, 6.1e-4, 9.4e-4, 1.3e-4, 3.0e-4, 5.5e-4,
+    ];
+
+    /// `nodes` rows of [`FLEET_MODES`], 1% of them lemon rows with one
+    /// raised rate: the fleet shape of the layout tests.
+    fn fleet_weights(nodes: u32, seed: u64) -> RowWeights {
+        let mut rng = SimRng::seed_from(seed);
+        let mut weights = RowWeights::new(nodes, FLEET_MODES.to_vec());
+        for node in 0..nodes {
+            if rng.chance(0.01) {
+                let (mode, extra) = (rng.below(12) as usize, rng.uniform_range(0.02, 0.5));
+                let row = FLEET_MODES.iter().enumerate();
+                weights.list_row(
+                    node,
+                    row.map(|(j, &r)| if j == mode { r + extra } else { r }),
+                );
+            }
+        }
+        weights
+    }
+
+    /// `weights` laid out flat, as the oracle takes them.
+    fn flat(weights: &RowWeights) -> Vec<f64> {
+        (0..weights.len()).map(|i| weights.get(i)).collect()
+    }
+
+    /// Asserts that `draws` draws from `table` equal, draw for draw, those
+    /// read off the two-stack layout with a generator on the same seed.
+    fn assert_draws_match(table: &AliasTable, (prob, alias): &(Vec<f64>, Vec<u32>), draws: usize) {
+        let (mut ours, mut theirs) = (SimRng::seed_from(41), SimRng::seed_from(41));
+        for k in 0..draws {
+            let i = theirs.below(prob.len() as u64) as usize;
+            let expect = if theirs.uniform() < prob[i] {
+                i
+            } else {
+                alias[i] as usize
+            };
+            assert_eq!(table.sample(&mut ours), expect, "draw {k}");
+        }
+    }
+
+    /// Builds `weights` row-compressed at `width`: it must fail where the
+    /// oracle does, and otherwise match it column by column and on 2,000
+    /// draws. Returns the table, if built.
+    fn assert_rows_match_two_stacks(weights: &[f64], width: usize) -> Option<AliasTable> {
+        let table = AliasTable::from_rows(row_compressed(weights, width));
+        match (table, two_stack_vose(weights)) {
+            (Ok(table), Some(expect)) => {
+                assert_columns_match(&table, &expect);
+                assert_draws_match(&table, &expect, 2_000);
+                Some(table)
+            }
+            (Err(_), None) => None,
+            (table, _) => panic!("built {:?} for weights {weights:?}", table.is_ok()),
+        }
+    }
+
+    #[test]
+    fn alias_layout_matches_two_stacks_in_rows_wider_than_a_word() {
+        // A row spans two or three class words, and a word two rows.
+        for width in [65, 72, 100, 136] {
+            for shape in [0, 1, 3, 4] {
+                for seed in 0..4 {
+                    assert_rows_match_two_stacks(&alias_inputs(shape, width * 9, seed), width);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alias_layout_matches_two_stacks_with_zero_weight_columns() {
+        // Half the modes never fire, a tenth of the rows fire nothing, and
+        // a few rows raise one mode.
+        for seed in 0..8 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut weights: Vec<f64> = (0..12 * 300)
+                .map(|i| if i % 12 < 6 { 0.0 } else { FLEET_MODES[i % 12] })
+                .collect();
+            for row in weights.chunks_exact_mut(12).skip(1) {
+                if rng.chance(0.1) {
+                    row.fill(0.0);
+                } else if rng.chance(0.02) {
+                    row[rng.below(12) as usize] += 0.3;
+                }
+            }
+            assert_rows_match_two_stacks(&weights, 12).expect("positive total");
+        }
+    }
+
+    #[test]
+    fn alias_layout_all_equal_weights_leave_rounding_leftovers() {
+        // Equal weights scale to within an ulp of 1: every column large,
+        // or every column small and left unpaired with acceptance 1.
+        let mut all_leftovers = 0;
+        for w in [0.1, 0.3, 0.7, 1e-3, 2.0 / 3.0] {
+            for rows in 1..=40 {
+                let table = assert_rows_match_two_stacks(&vec![w; 12 * rows], 12);
+                let table = table.expect("positive total");
+                all_leftovers += usize::from(table.leftover_below == table.len());
+            }
+            for len in 1..=130 {
+                assert_layout_matches_two_stacks(vec![w; len]);
+            }
+        }
+        assert!(all_leftovers > 0, "no all-leftover table was built");
+    }
+
+    #[test]
+    fn alias_layout_last_donor_flips_with_none_left() {
+        // Found by search: rounding drops the last donor below 1 on its
+        // last pairing, with no donor left to pair it with, so it and the
+        // small columns the walk has not reached are leftovers.
+        for weights in [
+            vec![0.35, 0.2, 0.05],
+            vec![0.35, 0.35, 0.3, 0.05, 0.7, 0.05],
+        ] {
+            assert_layout_matches_two_stacks(weights.clone());
+            let table = AliasTable::new(weights).expect("positive total");
+            assert!(!table.large_prob.is_empty() && table.leftover_below > 0);
+        }
+    }
+
+    #[test]
+    fn alias_layout_one_listed_row_serves_thousands_of_rows() {
+        // Two listed rows hold 6/7 of the mass, so every other column is
+        // small. The higher, row 4,000, is the first donor; it flips after
+        // ~1,700 rows and falls back on row 100, 3,900 rows below, which
+        // then serves every row left.
+        let fleet = FLEET_MODES.iter().sum::<f64>() * 5_000.0;
+        let mut weights = RowWeights::new(5_000, FLEET_MODES.to_vec());
+        for (row, extra) in [(100, 4.0 * fleet), (4_000, 2.0 * fleet)] {
+            let raised = FLEET_MODES.iter().enumerate();
+            weights.list_row(
+                row,
+                raised.map(|(j, &r)| if j == 4 { r + extra } else { r }),
+            );
+        }
+        let expect = two_stack_vose(&flat(&weights)).expect("valid weights");
+        let table = AliasTable::from_rows(weights).expect("valid weights");
+        assert_columns_match(&table, &expect);
+        assert_draws_match(&table, &expect, 20_000);
+        let (low, high) = (100 * 12 + 4, 4_000 * 12 + 4);
+        assert_eq!(table.large_prob.len(), 2);
+        let (p, alias) = table.column(high);
+        assert!(
+            p < 1.0 && alias == low as u32,
+            "row 4,000 falls back on row 100"
+        );
+        let served = (0..table.len()).filter(|&i| {
+            let (p, alias) = table.column(i);
+            p < 1.0 && alias == low as u32
+        });
+        assert!(served.count() > 12 * 3_000);
+    }
+
+    #[test]
+    fn alias_layout_draw_stream_matches_two_stacks_at_fleet_shape() {
+        let weights = fleet_weights(102_400, 22);
+        let expect = two_stack_vose(&flat(&weights)).expect("valid weights");
+        let table = AliasTable::from_rows(weights).expect("valid weights");
+        assert_draws_match(&table, &expect, 100_000);
+    }
+
+    #[test]
+    fn alias_layout_keeps_no_per_column_array_but_class_bits() {
+        let table = AliasTable::from_rows(fleet_weights(102_400, 22)).expect("valid weights");
+        // Every field is named, so a new one fails to compile until it is
+        // sized here too.
+        let AliasTable {
+            weights,
+            scale: _,
+            total: _,
+            small_bits,
+            large_rank,
+            large_prob,
+            donor_from,
+            word_donor,
+            leftover_below: _,
+        } = &table;
+        let (n, words) = (table.len(), table.len().div_ceil(64));
+        let small: usize = small_bits.iter().map(|w| w.count_ones() as usize).sum();
+        let large = n - small;
+        assert!(large < n / 2, "{large} of {n} columns are large");
+        assert_eq!(small_bits.len(), words);
+        assert_eq!((large_rank.len(), word_donor.len()), (words, words));
+        assert_eq!((large_prob.len(), donor_from.len()), (large, large));
+        assert_eq!(weights.common.len(), 12);
+        assert_eq!(weights.listed_weights.len(), 12 * weights.listed.len());
+        assert!(weights.listed.len() < n / 1_000);
     }
 
     proptest! {

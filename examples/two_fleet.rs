@@ -9,25 +9,40 @@
 //! of jobs above 128 GPUs), the same one fig7, fig9 and the benchmark
 //! report. The comparison is written as `two_fleet_comparison.csv`.
 //!
-//! Run with: `cargo run --release --example two_fleet [-- days [seed]]`
-//! (defaults: 30 days, seed 42). Both fleets simulate and seal in memory.
+//! Run with: `cargo run --release --example two_fleet [-- --days N]
+//! [--seed N]` (defaults: 30 days, seed 42). Both fleets simulate and seal
+//! in memory. A mistyped flag or a bad value exits 2 with a message.
+
+use std::process::ExitCode;
 
 use rsc_reliability::analysis::attribution::AttributionConfig;
 use rsc_reliability::analysis::mttf::estimate_node_failure_rate;
 use rsc_reliability::sim::runner::snapshot_file_name;
 use rsc_reliability::sim::{ScenarioRunner, ScenarioSpec, SimConfig};
+use rsc_reliability::simcore::cli;
 use rsc_reliability::telemetry::csv::write_csv_file;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let days: u64 = args
-        .first()
-        .map(|v| v.parse().expect("days must be an integer"))
-        .unwrap_or(30);
-    let seed: u64 = args
-        .get(1)
-        .map(|v| v.parse().expect("seed must be an integer"))
-        .unwrap_or(42);
+const USAGE: &str = "two_fleet [--days N] [--seed N]";
+
+/// The horizon in days and the RSC-1 seed the flags name.
+fn parse_args(raw: impl Iterator<Item = String>) -> Result<(u64, u64), String> {
+    let args = cli::parse(raw, &["days", "seed"], &[])?;
+    let days = args.parse_or("days", 30)?;
+    if days == 0 {
+        return Err("--days must be positive".to_string());
+    }
+    Ok((days, args.parse_or("seed", 42)?))
+}
+
+fn main() -> ExitCode {
+    let (days, seed) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("usage: {USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let names = ["RSC-1", "RSC-2"];
     let specs = [
@@ -103,4 +118,5 @@ fn main() {
     let out = "two_fleet_comparison.csv";
     write_csv_file(out, &header, rows).expect("write comparison CSV");
     println!("[csv] wrote {out}");
+    ExitCode::SUCCESS
 }
