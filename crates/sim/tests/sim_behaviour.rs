@@ -167,6 +167,36 @@ fn lemon_nodes_fail_more() {
     );
 }
 
+/// The planted lemon node ids of (config, seed).
+fn planted_ids(config: SimConfig, seed: u64) -> Vec<u32> {
+    ClusterSim::new(config, seed)
+        .lemons()
+        .node_ids()
+        .iter()
+        .map(|n| n.index())
+        .collect()
+}
+
+#[test]
+fn planted_lemons_are_pinned() {
+    let mut small = SimConfig::small_test_cluster();
+    small.lemon_count = 4;
+    assert_eq!(planted_ids(small, 23), [6, 17, 58, 55]);
+
+    // `lemon_eval`'s scenario: RSC-1 at 1/4 scale, residual base rates,
+    // 24 lemons, the figure seed.
+    let mut eval = SimConfig::rsc1().scaled_down(4);
+    eval.modes = eval.modes.scaled_rates(0.35);
+    eval.lemon_count = 24;
+    assert_eq!(
+        planted_ids(eval, 20_250_301),
+        [
+            454, 446, 44, 370, 243, 509, 427, 460, 423, 408, 426, 137, 130, 59, 212, 281, 360, 249,
+            348, 433, 342, 213, 258, 507
+        ]
+    );
+}
+
 #[test]
 fn run_extends_incrementally() {
     let mut sim = ClusterSim::new(SimConfig::small_test_cluster(), 29);
