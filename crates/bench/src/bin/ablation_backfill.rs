@@ -5,12 +5,11 @@
 //! sweep compares EASY-style unreserved backfill against conservative
 //! reservations on the same workload.
 
+use rsc_cluster::node::GPUS_PER_NODE;
+use rsc_core::cluster_goodput::utilization;
 use rsc_core::queueing::wait_by_size_and_qos;
 use rsc_sched::job::QosClass;
 use rsc_sched::sched::BackfillPolicy;
-use rsc_sim::config::SimConfig;
-use rsc_sim::driver::ClusterSim;
-use rsc_sim_core::time::SimDuration;
 
 fn main() {
     rsc_bench::no_args();
@@ -19,17 +18,18 @@ fn main() {
         "Backfill policy: unreserved vs conservative reservations",
         "RSC-1 at 1/8 scale, 120 simulated days per policy",
     );
-    let mut rows = Vec::new();
-    for (name, policy) in [
+    let policies = [
         ("unreserved", BackfillPolicy::Unreserved),
         ("conservative", BackfillPolicy::Conservative),
-    ] {
-        let mut config = SimConfig::rsc1().scaled_down(8);
-        config.sched.backfill = policy;
-        let mut sim = ClusterSim::new(config, rsc_bench::FIGURE_SEED);
-        sim.run(SimDuration::from_days(120));
-        let util = sim.mean_utilization();
-        let store = sim.into_telemetry().seal();
+    ];
+    let specs = policies.map(|(_, policy)| {
+        let mut spec = rsc_bench::rsc1_spec(8, 120, rsc_bench::FIGURE_SEED);
+        spec.config.sched.backfill = policy;
+        spec
+    });
+    let mut rows = Vec::new();
+    for ((name, _), store) in policies.into_iter().zip(rsc_bench::run_specs(&specs)) {
+        let util = utilization(&store, GPUS_PER_NODE as u32);
         println!("\n--- {name} (mean utilization {:.1}%) ---", util * 100.0);
         println!(
             "{:>8} {:>8} {:>8} {:>14} {:>12}",

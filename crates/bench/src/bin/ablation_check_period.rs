@@ -5,10 +5,10 @@
 //! erode; shorter periods buy little once detection beats the job-restart
 //! timescale.
 
+use rsc_cluster::node::GPUS_PER_NODE;
 use rsc_core::attribution::AttributionConfig;
+use rsc_core::cluster_goodput::utilization;
 use rsc_core::goodput::goodput_loss;
-use rsc_sim::config::SimConfig;
-use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
@@ -23,16 +23,18 @@ fn main() {
         "period", "health events", "goodput loss (GPU-h)", "mean utilization"
     );
     println!("{}", "-".repeat(70));
-    let mut rows = Vec::new();
-    for period_mins in [1u64, 5, 15, 60] {
-        let mut config = SimConfig::rsc1().scaled_down(8);
-        config.registry = config
+    let periods = [1u64, 5, 15, 60];
+    let specs = periods.map(|mins| {
+        let mut spec = rsc_bench::rsc1_spec(8, 90, rsc_bench::FIGURE_SEED);
+        spec.config.registry = spec
+            .config
             .registry
-            .with_period(SimDuration::from_mins(period_mins));
-        let mut sim = ClusterSim::new(config, rsc_bench::FIGURE_SEED);
-        sim.run(SimDuration::from_days(90));
-        let util = sim.mean_utilization();
-        let store = sim.into_telemetry().seal();
+            .with_period(SimDuration::from_mins(mins));
+        spec
+    });
+    let mut rows = Vec::new();
+    for (period_mins, store) in periods.into_iter().zip(rsc_bench::run_specs(&specs)) {
+        let util = utilization(&store, GPUS_PER_NODE as u32);
         let events = store.health_events().len();
         let loss = goodput_loss(&store, &AttributionConfig::paper_default());
         let total = loss.total_failure_loss + loss.total_preemption_loss;

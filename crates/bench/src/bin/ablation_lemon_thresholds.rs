@@ -6,8 +6,6 @@
 //! report the precision/recall frontier against planted ground truth.
 
 use rsc_core::lemon::{compute_features, DetectionQuality, LemonDetector};
-use rsc_sim::config::SimConfig;
-use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
@@ -17,13 +15,9 @@ fn main() {
         "Lemon-detector threshold sweep",
         "RSC-1 at 1/4 scale, residual base rates, 24 lemons, 84 days",
     );
-    let mut config = SimConfig::rsc1().scaled_down(4);
-    config.modes = config.modes.scaled_rates(0.35);
-    config.lemon_count = 24;
-    let mut sim = ClusterSim::new(config, rsc_bench::FIGURE_SEED);
-    sim.run(SimDuration::from_days(84));
-    let truth = sim.lemons().node_ids();
-    let store = sim.into_telemetry().seal();
+    let spec = rsc_bench::lemon_eval_spec();
+    let truth = spec.config.planted_lemons(spec.seed).node_ids();
+    let store = rsc_bench::runner().run_one(&spec);
     let from = store.horizon() - SimDuration::from_days(56);
     let features = compute_features(&store, from, store.horizon());
 

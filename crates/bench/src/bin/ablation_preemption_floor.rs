@@ -5,11 +5,11 @@
 //! (paper §III). This sweep shows the trade the floor makes: low-QoS
 //! progress protection against high-QoS wait.
 
+use rsc_cluster::node::GPUS_PER_NODE;
+use rsc_core::cluster_goodput::utilization;
 use rsc_core::queueing::wait_by_size_and_qos;
 use rsc_core::report::status_breakdown;
 use rsc_sched::job::{JobStatus, QosClass};
-use rsc_sim::config::SimConfig;
-use rsc_sim::driver::ClusterSim;
 use rsc_sim_core::time::SimDuration;
 
 fn main() {
@@ -24,15 +24,15 @@ fn main() {
         "floor", "% preempted", "low-QoS runtime", "high-QoS mean wait", "mean utilization"
     );
     println!("{}", "-".repeat(80));
+    let floors = [0u64, 30, 120, 480];
+    let specs = floors.map(|mins| {
+        let mut spec = rsc_bench::rsc1_spec(8, 90, rsc_bench::FIGURE_SEED);
+        spec.config.sched.preemption_floor = SimDuration::from_mins(mins);
+        spec
+    });
     let mut rows = Vec::new();
-    for floor_mins in [0u64, 30, 120, 480] {
-        let mut config = SimConfig::rsc1().scaled_down(8);
-        config.sched.preemption_floor = SimDuration::from_mins(floor_mins);
-        let mut sim = ClusterSim::new(config, rsc_bench::FIGURE_SEED);
-        sim.run(SimDuration::from_days(90));
-        let util = sim.mean_utilization();
-        let store = sim.into_telemetry().seal();
-
+    for (floor_mins, store) in floors.into_iter().zip(rsc_bench::run_specs(&specs)) {
+        let util = utilization(&store, GPUS_PER_NODE as u32);
         let shares = status_breakdown(&store);
         let preempted = shares
             .iter()
@@ -46,17 +46,15 @@ fn main() {
             .filter(|r| r.qos == QosClass::Low && r.status == JobStatus::Completed)
             .map(|r| r.gpu_time().as_hours())
             .sum();
-        let high_wait = wait_by_size_and_qos(&store)
-            .iter()
+        let high: Vec<_> = wait_by_size_and_qos(&store)
+            .into_iter()
             .filter(|b| b.qos == QosClass::High)
+            .collect();
+        let high_wait = high
+            .iter()
             .map(|b| b.mean_wait_hours * b.count as f64)
             .sum::<f64>()
-            / wait_by_size_and_qos(&store)
-                .iter()
-                .filter(|b| b.qos == QosClass::High)
-                .map(|b| b.count as f64)
-                .sum::<f64>()
-                .max(1.0);
+            / high.iter().map(|b| b.count as f64).sum::<f64>().max(1.0);
         println!(
             "{:>5}min {:>12} {:>13.2e} h {:>18.3} h {:>17.1}%",
             floor_mins,

@@ -2,9 +2,7 @@
 //! lemons' feature values for contrast.
 
 use rsc_core::lemon::{compute_features, feature_cdfs};
-use rsc_sim::config::SimConfig;
-use rsc_sim::driver::ClusterSim;
-use rsc_sim_core::time::{SimDuration, SimTime};
+use rsc_sim_core::time::SimTime;
 
 fn main() {
     rsc_bench::no_args();
@@ -13,12 +11,10 @@ fn main() {
         "Lemon-detection feature CDFs (28-day window)",
         "RSC-1 at 1/4 scale with 6 planted lemons, 28 simulated days",
     );
-    let mut config = SimConfig::rsc1().scaled_down(4);
-    config.lemon_count = 6;
-    let mut sim = ClusterSim::new(config, rsc_bench::FIGURE_SEED);
-    sim.run(SimDuration::from_days(28));
-    let lemon_ids = sim.lemons().node_ids();
-    let store = sim.into_telemetry().seal();
+    let mut spec = rsc_bench::rsc1_spec(4, 28, rsc_bench::FIGURE_SEED);
+    spec.config.lemon_count = 6;
+    let lemon_ids = spec.config.planted_lemons(spec.seed).node_ids();
+    let store = rsc_bench::runner().run_one(&spec);
 
     let features = compute_features(&store, SimTime::ZERO, store.horizon());
     let cdfs = feature_cdfs(&features);

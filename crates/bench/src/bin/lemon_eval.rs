@@ -3,9 +3,7 @@
 //! failures 14% → 4%).
 
 use rsc_core::lemon::{compute_features, large_job_failure_rate, DetectionQuality, LemonDetector};
-use rsc_sim::config::SimConfig;
-use rsc_sim::driver::ClusterSim;
-use rsc_sim_core::time::{SimDuration, SimTime};
+use rsc_sim_core::time::SimDuration;
 
 fn main() {
     rsc_bench::no_args();
@@ -15,20 +13,17 @@ fn main() {
         "RSC-1 at 1/4 scale, 24 lemons planted, 84 days, 56-day feature window",
     );
 
-    // The observed RSC-1 rate *includes* the lemons' contribution; the
-    // stationary background is the lemon-free residual. Scaling the base
-    // modes to ~35% leaves lemons responsible for roughly two thirds of
-    // failures — the regime where their removal moves large-job failure
-    // rates the way the paper reports.
-    let mut config = SimConfig::rsc1().scaled_down(4);
-    config.modes = config.modes.scaled_rates(0.35);
-    config.lemon_count = 24;
-    let mut sim = ClusterSim::new(config.clone(), rsc_bench::FIGURE_SEED);
-    sim.run(SimDuration::from_days(84));
-    let truth = sim.lemons().node_ids();
-    let store = sim.into_telemetry().seal();
+    // The scenario and its counterfactual: the same cluster with lemons
+    // removed.
+    let spec = rsc_bench::lemon_eval_spec();
+    let mut clean = spec.clone();
+    clean.config.lemon_count = 0;
+    let truth = spec.config.planted_lemons(spec.seed).node_ids();
+    let views = rsc_bench::run_specs(&[spec, clean]);
+    let (store, clean_store) = (&views[0], &views[1]);
+
     let from = store.horizon() - SimDuration::from_days(56);
-    let features = compute_features(&store, from, store.horizon());
+    let features = compute_features(store, from, store.horizon());
     let detector = LemonDetector::rsc_default();
     let detected = detector.detect(&features);
     let quality = DetectionQuality::evaluate(&detected, &truth);
@@ -45,14 +40,8 @@ fn main() {
         quality.true_positives, quality.false_positives, quality.false_negatives
     );
 
-    // Counterfactual: the same cluster with lemons removed.
-    let with_lemons = large_job_failure_rate(&store, 128);
-    let mut clean_config = config;
-    clean_config.lemon_count = 0;
-    let mut clean = ClusterSim::new(clean_config, rsc_bench::FIGURE_SEED);
-    clean.run(SimDuration::from_days(84));
-    let clean_store = clean.into_telemetry().seal();
-    let without_lemons = large_job_failure_rate(&clean_store, 128);
+    let with_lemons = large_job_failure_rate(store, 128);
+    let without_lemons = large_job_failure_rate(clean_store, 128);
 
     println!(
         "\nlarge-job (128+ GPU at this scale) infra-failure rate:\n  with lemons:    {}\n  lemons removed: {}",
@@ -66,14 +55,13 @@ fn main() {
         );
     }
 
-    let mut rows = vec![vec![
+    let rows = vec![vec![
         "detection".to_string(),
         format!("{:.4}", quality.precision()),
         format!("{:.4}", quality.recall()),
         with_lemons.to_string(),
         without_lemons.to_string(),
     ]];
-    rows[0].truncate(5);
     rsc_bench::save_csv(
         "lemon_eval.csv",
         &[
@@ -85,6 +73,4 @@ fn main() {
         ],
         rows,
     );
-
-    let _ = SimTime::ZERO;
 }

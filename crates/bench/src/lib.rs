@@ -59,6 +59,17 @@ fn spec(config: SimConfig, divisor: u32, days: u64, seed: u64) -> ScenarioSpec {
     ScenarioSpec::new(config, seed, days)
 }
 
+/// The scenario `lemon_eval` and `ablation_lemon_thresholds` share: RSC-1
+/// at 1/4 scale for 84 days, 24 lemons, base modes at the ~35% lemon-free
+/// residual, so lemons cause about two thirds of failures — the regime
+/// where their removal moves large-job failure rates as the paper reports.
+pub fn lemon_eval_spec() -> ScenarioSpec {
+    let mut spec = rsc1_spec(4, 84, FIGURE_SEED);
+    spec.config.modes = spec.config.modes.scaled_rates(0.35);
+    spec.config.lemon_count = 24;
+    spec
+}
+
 /// An RSC-1-like scenario resized to exactly `num_nodes` nodes (up *or*
 /// down from RSC-1's 2,048), with the arrival rate scaled proportionally
 /// and the offered load re-calibrated — the scaling scenario that

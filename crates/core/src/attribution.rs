@@ -151,8 +151,8 @@ pub fn attribute_failures(view: &TelemetryView, config: &AttributionConfig) -> V
 /// Per-cause failure rates normalized by total GPU-hours (paper Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CauseRates {
-    /// `(cause, failures per GPU-hour)`, descending by rate. `None` is the
-    /// unattributed bucket.
+    /// `(cause, failures per GPU-hour)`, descending by rate, equal rates in
+    /// cause order. `None` is the unattributed bucket.
     pub rates: Vec<(Option<FailureSymptom>, f64)>,
     /// Total GPU-hours of runtime in the store (the denominator).
     pub total_gpu_hours: f64,
@@ -176,7 +176,8 @@ pub fn cause_rates(view: &TelemetryView, config: &AttributionConfig) -> CauseRat
         .into_iter()
         .map(|(cause, n)| (cause, n as f64 / total_gpu_hours.max(f64::MIN_POSITIVE)))
         .collect();
-    rates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("rates are finite"));
+    // Equal rates go in cause order, not in the map's per-process order.
+    rates.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     CauseRates {
         rates,
         total_gpu_hours,

@@ -5,8 +5,10 @@
 //! job preemption, resource fragmentation, and failures are the dominant
 //! sources of lost goodput." This module decomposes total capacity into
 //! that waterfall: productive work, restart overhead, checkpoint-replay
-//! loss, preempted/failed residue, and idle.
+//! loss, preempted/failed residue, and idle. Its complement of idle is the
+//! cluster's [`utilization`] (§II-A).
 
+use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::JobStatus;
 use rsc_sim_core::time::SimDuration;
 use rsc_telemetry::view::TelemetryView;
@@ -47,6 +49,24 @@ impl GoodputWaterfall {
     }
 }
 
+/// GPUs × horizon, in GPU-hours.
+fn capacity_gpu_hours(view: &TelemetryView, gpus_per_node: u32) -> f64 {
+    view.num_nodes() as f64 * gpus_per_node as f64 * view.horizon().as_hours()
+}
+
+/// GPU-hours an attempt held; `None` if it never started.
+fn scheduled_gpu_hours(record: &JobRecord) -> Option<f64> {
+    record.started_at.map(|_| record.gpu_time().as_hours())
+}
+
+/// Cluster utilization: GPU-time scheduled to attempts over capacity, one
+/// minus [`GoodputWaterfall`]'s idle share. The view holds only attempts
+/// that ended by its horizon, so short runs read low.
+pub fn utilization(view: &TelemetryView, gpus_per_node: u32) -> f64 {
+    let scheduled: f64 = view.jobs().iter().filter_map(scheduled_gpu_hours).sum();
+    scheduled / capacity_gpu_hours(view, gpus_per_node).max(f64::MIN_POSITIVE)
+}
+
 /// Computes the waterfall with the paper's accounting assumptions: every
 /// attempt pays its spec'd restart overhead; every *interrupted* attempt
 /// additionally loses half a checkpoint interval of progress.
@@ -56,15 +76,14 @@ pub fn goodput_waterfall(
     checkpoint_interval: SimDuration,
     restart_overhead: SimDuration,
 ) -> GoodputWaterfall {
-    let capacity = view.num_nodes() as f64 * gpus_per_node as f64 * view.horizon().as_hours();
+    let capacity = capacity_gpu_hours(view, gpus_per_node);
     let mut scheduled = 0.0f64;
     let mut restart = 0.0f64;
     let mut replay = 0.0f64;
     for r in view.jobs() {
-        if r.started_at.is_none() {
+        let Some(gpu_hours) = scheduled_gpu_hours(r) else {
             continue;
-        }
-        let gpu_hours = r.gpu_time().as_hours();
+        };
         scheduled += gpu_hours;
         let runtime = r.runtime();
         restart += restart_overhead.min(runtime).as_hours() * r.gpus as f64;
@@ -144,6 +163,29 @@ mod tests {
         );
         let (p, r, l, i) = w.fractions();
         assert!((p + r + l + i - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn utilization_is_the_scheduled_share_of_capacity() {
+        let never_started = JobRecord {
+            started_at: None,
+            ..record(3, 64, 20, JobStatus::Cancelled)
+        };
+        // 2 nodes × 8 GPUs × 24 h = 384 GPU-h; 8 × 10 + 8 × 5 = 120 scheduled.
+        let s = store(
+            vec![
+                record(1, 8, 10, JobStatus::Completed),
+                record(2, 8, 5, JobStatus::NodeFail),
+                never_started,
+            ],
+            2,
+            24,
+        );
+        let u = utilization(&s, 8);
+        assert_eq!(u, 120.0 / 384.0);
+        let w = goodput_waterfall(&s, 8, SimDuration::from_hours(1), SimDuration::from_mins(6));
+        assert_eq!(w.idle, w.capacity * (1.0 - u));
+        assert_eq!(utilization(&store(Vec::new(), 2, 24), 8), 0.0);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 
 use rsc_cluster::spec::ClusterSpec;
 use rsc_failure::cooccur::CooccurrenceProfile;
+use rsc_failure::lemon::LemonPlan;
 use rsc_failure::modes::ModeCatalog;
 use rsc_health::lifecycle::RemediationPolicy;
 use rsc_health::registry::CheckRegistry;
 use rsc_health::remediation::RepairPolicy;
 use rsc_sched::project::ProjectQuotas;
 use rsc_sched::sched::SchedConfig;
+use rsc_sim_core::rng::SimRng;
 use rsc_sim_core::time::SimDuration;
 use rsc_storage::checkpoint::CheckpointFallbackPolicy;
 use rsc_workload::profile::WorkloadProfile;
@@ -71,6 +73,25 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// The lemons a run of this scenario at `seed` plants (its ground
+    /// truth), drawn without simulating from the run's own stream.
+    pub fn planted_lemons(&self, seed: u64) -> LemonPlan {
+        self.setup_streams(&mut SimRng::seed_from(seed)).1
+    }
+
+    /// Forks 1 and 2 of a run's stream: the era stream (the IB-spike node
+    /// set) and the planted lemons.
+    pub(crate) fn setup_streams(&self, rng: &mut SimRng) -> (SimRng, LemonPlan) {
+        let era_rng = rng.fork(1);
+        let lemons = LemonPlan::plant_with_rate(
+            &mut rng.fork(2),
+            self.cluster.num_nodes(),
+            self.lemon_count,
+            self.lemon_extra_rate_median,
+        );
+        (era_rng, lemons)
+    }
+
     /// Full-fidelity RSC-1: 2,048 nodes, 7.2k jobs/day, the Fig. 5 era
     /// storyline, 24 lemon nodes.
     pub fn rsc1() -> Self {

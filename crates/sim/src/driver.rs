@@ -16,7 +16,6 @@ use rsc_cluster::component::ComponentKind;
 use rsc_cluster::ids::{JobId, NodeId};
 use rsc_cluster::node::NodeState;
 use rsc_failure::injector::{FailureEvent, FailureInjector};
-use rsc_failure::lemon::LemonPlan;
 use rsc_failure::modes::{ModeCatalog, ModeId, Severity};
 use rsc_failure::process::HazardSchedule;
 use rsc_failure::signals::SignalKind;
@@ -97,7 +96,7 @@ enum Ev {
     /// A controlled-release observation window closes on a
     /// controller-quarantined node.
     ReleaseWindow { node: NodeId },
-    /// Daily housekeeping: false-positive generation, utilization sampling.
+    /// Daily housekeeping: false-positive generation, record flush, bus tick.
     DailySweep,
 }
 
@@ -136,7 +135,6 @@ pub struct ClusterSim {
     events: EventQueue<Ev>,
     rng: SimRng,
     telemetry: TelemetryStore,
-    lemons: LemonPlan,
     /// The lemon set as a bitset — O(1) membership for the per-failure
     /// permanence mask (the linear scan it replaces dominated the handle
     /// phase at fleet scale).
@@ -148,8 +146,6 @@ pub struct ClusterSim {
     /// Per-node remediation state machines (fallible path only; empty when
     /// the policy is infallible).
     lifecycles: HashMap<NodeId, NodeLifecycle>,
-    /// Utilization samples (fraction busy), taken daily.
-    utilization_samples: Vec<f64>,
     /// Attached event-stream observers (the online-monitoring hook).
     /// Empty by default: the no-observer path is a single `is_empty()`
     /// check per record and leaves telemetry byte-identical.
@@ -192,7 +188,7 @@ impl ClusterSim {
         let num_nodes = config.cluster.num_nodes();
 
         // Era node sets and lemons are sampled from dedicated streams.
-        let mut era_rng = rng.fork(1);
+        let (mut era_rng, lemons) = config.setup_streams(&mut rng);
         let ib_spike_nodes: Vec<NodeId> = {
             let mut set = Vec::new();
             while set.len() < config.ib_spike_node_count.min(num_nodes as usize) {
@@ -209,13 +205,6 @@ impl ClusterSim {
             EraPreset::Rsc1 => schedule.rsc1_eras(ib_spike_nodes),
             EraPreset::Rsc2 => schedule.rsc2_eras(ib_spike_nodes),
         };
-        let mut lemon_rng = rng.fork(2);
-        let lemons = LemonPlan::plant_with_rate(
-            &mut lemon_rng,
-            num_nodes,
-            config.lemon_count,
-            config.lemon_extra_rate_median,
-        );
         lemons.apply(&mut schedule);
 
         let injector = FailureInjector::new(schedule, num_nodes, rng.fork(3));
@@ -239,12 +228,10 @@ impl ClusterSim {
             events,
             rng,
             telemetry,
-            lemons,
             lemon_mask,
             broken: HashMap::new(),
             draining: HashSet::new(),
             lifecycles: HashMap::new(),
-            utilization_samples: Vec::new(),
             observers: Vec::new(),
             staged_signals: Vec::new(),
             staged_detections: Vec::new(),
@@ -288,21 +275,6 @@ impl ClusterSim {
         }
     }
 
-    /// The scenario being simulated.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Ground truth: the planted lemon nodes.
-    pub fn lemons(&self) -> &LemonPlan {
-        &self.lemons
-    }
-
-    /// The cluster state (for inspection between/after runs).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Occurrences the event loop has processed so far: injected failures,
     /// job submissions, and popped future events. `rsc-benchmark` reports
     /// it as the per-layer `sim.events` metric.
@@ -341,14 +313,6 @@ impl ClusterSim {
     /// called before running.
     pub fn phase_timings(&self) -> Option<PhaseTimings> {
         self.phase_timings
-    }
-
-    /// Mean sampled cluster utilization so far (busy GPUs / total GPUs).
-    pub fn mean_utilization(&self) -> f64 {
-        if self.utilization_samples.is_empty() {
-            return 0.0;
-        }
-        self.utilization_samples.iter().sum::<f64>() / self.utilization_samples.len() as f64
     }
 
     /// Runs the simulation for `duration` beyond the current time and
@@ -564,9 +528,6 @@ impl ClusterSim {
                         self.remediate(fp.node, false);
                     }
                 }
-                let busy = self.sched.busy_gpus() as f64;
-                self.utilization_samples
-                    .push(busy / self.config.cluster.total_gpus() as f64);
                 // Flush accounting records into telemetry incrementally,
                 // then tick the bus: observers see every record with
                 // `ended_at <= now` before the tick's windowed re-eval.

@@ -11,18 +11,21 @@
 //! [`runner::ScenarioRunner`] executes batches of scenarios across worker
 //! threads with an on-disk telemetry artifact cache, returning sealed
 //! [`rsc_telemetry::TelemetryView`]s that are byte-identical whether
-//! simulated sequentially, in parallel, or loaded from cache.
+//! simulated sequentially, in parallel, or loaded from cache. A run's
+//! planted lemons come from [`SimConfig::planted_lemons`] unsimulated.
 //!
 //! # Example
 //!
 //! ```
-//! use rsc_sim::config::SimConfig;
-//! use rsc_sim::driver::ClusterSim;
-//! use rsc_sim_core::time::SimDuration;
+//! use rsc_sim::{ScenarioRunner, ScenarioSpec, SimConfig};
 //!
-//! let mut sim = ClusterSim::new(SimConfig::small_test_cluster(), 42);
-//! let telemetry = sim.run(SimDuration::from_days(3));
+//! let mut config = SimConfig::small_test_cluster();
+//! config.lemon_count = 2;
+//! let spec = ScenarioSpec::new(config, 42, 3);
+//! let lemons = spec.config.planted_lemons(spec.seed);
+//! let telemetry = ScenarioRunner::without_cache().run_one(&spec);
 //! assert!(!telemetry.jobs().is_empty());
+//! assert_eq!(lemons.node_ids().len(), 2);
 //! ```
 
 pub mod bus;

@@ -122,8 +122,8 @@ fn ideal_checks_eliminate_unattributed_gaps() {
 fn lemons_repair_fast_and_keep_failing() {
     let mut config = SimConfig::small_test_cluster();
     config.lemon_count = 2;
+    let lemon_ids = config.planted_lemons(11).node_ids();
     let mut sim = ClusterSim::new(config, 11);
-    let lemon_ids = sim.lemons().node_ids();
     sim.run(SimDuration::from_days(90));
     let store = sim.into_telemetry();
     // Lemons fail repeatedly across the run (defect survives repair).

@@ -108,9 +108,8 @@ fn node_events_balance() {
 
 #[test]
 fn utilization_is_high() {
-    let mut sim = ClusterSim::new(SimConfig::small_test_cluster(), 13);
-    sim.run(SimDuration::from_days(10));
-    let util = sim.mean_utilization();
+    let view = small_run(10, 13).seal();
+    let util = rsc_core::cluster_goodput::utilization(&view, 8);
     assert!(util > 0.5, "utilization {util} too low");
     assert!(util <= 1.0);
 }
@@ -144,9 +143,9 @@ fn timeouts_and_cancels_appear() {
 fn lemon_nodes_fail_more() {
     let mut config = SimConfig::small_test_cluster();
     config.lemon_count = 4;
-    let mut sim = ClusterSim::new(config, 23);
-    let lemon_ids: Vec<_> = sim.lemons().node_ids();
+    let lemon_ids: Vec<_> = config.planted_lemons(23).node_ids();
     assert_eq!(lemon_ids.len(), 4);
+    let mut sim = ClusterSim::new(config, 23);
     sim.run(SimDuration::from_days(45));
     let t = sim.into_telemetry();
     let lemon_failures = t
@@ -169,8 +168,8 @@ fn lemon_nodes_fail_more() {
 
 /// The planted lemon node ids of (config, seed).
 fn planted_ids(config: SimConfig, seed: u64) -> Vec<u32> {
-    ClusterSim::new(config, seed)
-        .lemons()
+    config
+        .planted_lemons(seed)
         .node_ids()
         .iter()
         .map(|n| n.index())

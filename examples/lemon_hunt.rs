@@ -5,27 +5,27 @@
 //! Run with: `cargo run --release --example lemon_hunt`
 
 use rsc_reliability::analysis::lemon::{compute_features, DetectionQuality, LemonDetector};
-use rsc_reliability::sim::{ClusterSim, SimConfig};
-use rsc_reliability::simcore::time::{SimDuration, SimTime};
+use rsc_reliability::sim::{ScenarioRunner, ScenarioSpec, SimConfig};
+use rsc_reliability::simcore::time::SimTime;
 
 fn main() {
     let mut config = SimConfig::small_test_cluster();
     config.lemon_count = 4;
-    let mut sim = ClusterSim::new(config, 1234);
-    let truth = sim.lemons().node_ids();
+    let spec = ScenarioSpec::new(config, 1234, 28);
+    let planted = spec.config.planted_lemons(spec.seed);
+    let truth = planted.node_ids();
     println!(
         "planted {} lemons among 64 nodes (ground truth hidden from the detector)",
         truth.len()
     );
-    for lemon in sim.lemons().lemons() {
+    for lemon in planted.lemons() {
         println!(
             "  {} root cause: {}, +{:.2} failures/day",
             lemon.node, lemon.root_cause, lemon.extra_rate_per_day
         );
     }
 
-    sim.run(SimDuration::from_days(28));
-    let store = sim.into_telemetry().seal();
+    let store = ScenarioRunner::new().run_one(&spec);
 
     let features = compute_features(&store, SimTime::ZERO, store.horizon());
     let detector = LemonDetector::rsc_default();

@@ -8,21 +8,20 @@ use rsc_reliability::analysis::attribution::{
     cause_rates, completed_jobs_seeing_checks, AttributionConfig,
 };
 use rsc_reliability::analysis::availability::{fleet_availability, worst_nodes};
-use rsc_reliability::analysis::cluster_goodput::goodput_waterfall;
+use rsc_reliability::analysis::cluster_goodput::{goodput_waterfall, utilization};
 use rsc_reliability::analysis::fit::fit_failure_process;
 use rsc_reliability::analysis::lemon::{compute_features, LemonDetector};
 use rsc_reliability::analysis::queueing::{mean_wait_hours, wait_by_size_and_qos};
 use rsc_reliability::sched::job::QosClass;
-use rsc_reliability::sim::{ClusterSim, SimConfig};
+use rsc_reliability::sim::{ScenarioRunner, ScenarioSpec, SimConfig};
 use rsc_reliability::simcore::time::{SimDuration, SimTime};
 
 fn main() {
     let mut config = SimConfig::small_test_cluster();
     config.lemon_count = 3;
-    let mut sim = ClusterSim::new(config, 2026);
-    sim.run(SimDuration::from_days(30));
-    let util = sim.mean_utilization();
-    let store = sim.into_telemetry().seal();
+    let gpus_per_node = config.cluster.gpus_per_node();
+    let store = ScenarioRunner::new().run_one(&ScenarioSpec::new(config, 2026, 30));
+    let util = utilization(&store, gpus_per_node);
 
     println!(
         "=== cluster health report: {} (30 days) ===",
@@ -37,7 +36,7 @@ fn main() {
     // Goodput waterfall.
     let w = goodput_waterfall(
         &store,
-        8,
+        gpus_per_node,
         SimDuration::from_mins(60),
         SimDuration::from_mins(5),
     );

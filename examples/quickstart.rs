@@ -4,10 +4,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use rsc_reliability::analysis::attribution::{cause_rates, AttributionConfig};
+use rsc_reliability::analysis::cluster_goodput::utilization;
 use rsc_reliability::analysis::mttf::{estimate_node_failure_rate, MttfProjection};
 use rsc_reliability::analysis::report::status_breakdown;
-use rsc_reliability::sim::{ClusterSim, SimConfig};
-use rsc_reliability::simcore::time::SimDuration;
+use rsc_reliability::sim::{ScenarioRunner, ScenarioSpec, SimConfig};
 
 fn main() {
     // A 64-node (512 GPU) cluster with RSC-1-like failure behaviour.
@@ -17,10 +17,10 @@ fn main() {
         config.cluster.name(),
         config.cluster.total_gpus()
     );
-    let mut sim = ClusterSim::new(config, 42);
-    sim.run(SimDuration::from_days(28));
-    println!("mean utilization: {:.1}%", sim.mean_utilization() * 100.0);
-    let telemetry = sim.into_telemetry().seal();
+    let spec = ScenarioSpec::new(config, 42, 28);
+    let telemetry = ScenarioRunner::new().run_one(&spec); // simulated, or loaded from cache
+    let util = utilization(&telemetry, spec.config.cluster.gpus_per_node());
+    println!("mean utilization: {:.1}%", util * 100.0);
 
     println!("\njob records: {}", telemetry.jobs().len());
     println!("health events: {}", telemetry.health_events().len());

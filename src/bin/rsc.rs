@@ -17,7 +17,7 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use rsc_reliability::analysis::attribution::AttributionConfig;
-use rsc_reliability::analysis::cluster_goodput::goodput_waterfall;
+use rsc_reliability::analysis::cluster_goodput::{goodput_waterfall, utilization};
 use rsc_reliability::analysis::ettr::analytical::{expected_ettr, EttrParams};
 use rsc_reliability::analysis::ettr::jobrun::{
     ettr_by_size_bucket, long_high_priority_runs, reconstruct_job_runs,
@@ -28,7 +28,7 @@ use rsc_reliability::analysis::mttf::{mttf_by_job_size, FailureScope, MttfProjec
 use rsc_reliability::analysis::queueing::{mean_wait_hours, wait_by_size_and_qos};
 use rsc_reliability::analysis::report::{size_distribution, status_breakdown};
 use rsc_reliability::sched::accounting::JobRecord;
-use rsc_reliability::sim::{ClusterSim, SimConfig};
+use rsc_reliability::sim::{ScenarioSpec, SimConfig};
 use rsc_reliability::simcore::cli::{self, Args};
 use rsc_reliability::simcore::rng::SimRng;
 use rsc_reliability::simcore::time::SimDuration;
@@ -122,10 +122,10 @@ fn cmd_simulate(flags: &Args) -> Result<(), String> {
         config.cluster.num_nodes(),
         config.cluster.total_gpus()
     );
-    let mut sim = ClusterSim::new(config, seed);
-    sim.run(SimDuration::from_days(days));
-    println!("mean utilization: {:.1}%", sim.mean_utilization() * 100.0);
-    let store = sim.into_telemetry();
+    let spec = ScenarioSpec::new(config, seed, days);
+    let store = spec.simulate(); // uncached: the CLI writes no artifact files
+    let util = utilization(&store, spec.config.cluster.gpus_per_node());
+    println!("mean utilization: {:.1}%", util * 100.0);
     println!(
         "records: {} jobs, {} health events, {} failures injected, {} GPU swaps",
         store.jobs().len(),

@@ -27,17 +27,18 @@
 //!
 //! # Quickstart
 //!
-//! Simulate a small cluster for a week and compute its hardware failure
-//! rate:
+//! Simulate a small cluster for a week and measure its utilization. A
+//! scenario is (config, seed, days); the runner simulates it, or loads its
+//! sealed telemetry from the artifact cache when one is configured:
 //!
 //! ```
-//! use rsc_reliability::sim::{ClusterSim, SimConfig};
-//! use rsc_reliability::simcore::time::SimDuration;
+//! use rsc_reliability::analysis::cluster_goodput::utilization;
+//! use rsc_reliability::sim::{ScenarioRunner, ScenarioSpec, SimConfig};
 //!
-//! let config = SimConfig::small_test_cluster();
-//! let mut sim = ClusterSim::new(config, 42);
-//! let telemetry = sim.run(SimDuration::from_days(7));
+//! let spec = ScenarioSpec::new(SimConfig::small_test_cluster(), 42, 7);
+//! let telemetry = ScenarioRunner::without_cache().run_one(&spec);
 //! assert!(telemetry.jobs().len() > 0);
+//! assert!(utilization(&telemetry, spec.config.cluster.gpus_per_node()) > 0.0);
 //! ```
 
 pub use rsc_cluster as cluster;

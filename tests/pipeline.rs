@@ -31,6 +31,12 @@ fn attribution_pipeline_produces_causes() {
     let rates = cause_rates(&store, &config);
     assert!(rates.total_gpu_hours > 0.0);
     assert!(!rates.rates.is_empty());
+    // Descending by rate; equal rates in cause order, so every process
+    // prints one order.
+    assert!(rates
+        .rates
+        .windows(2)
+        .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
 }
 
 #[test]

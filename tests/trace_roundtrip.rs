@@ -6,10 +6,11 @@
 
 use std::io::BufReader;
 
+use rsc_reliability::analysis::cluster_goodput::utilization;
 use rsc_reliability::analysis::ettr::jobrun::reconstruct_job_runs;
 use rsc_reliability::analysis::queueing::mean_wait_hours;
 use rsc_reliability::analysis::report::{size_distribution, status_breakdown};
-use rsc_reliability::sim::{ClusterSim, SimConfig};
+use rsc_reliability::sim::{ClusterSim, ScenarioSpec, SimConfig};
 use rsc_reliability::simcore::time::SimDuration;
 use rsc_reliability::telemetry::store::TelemetryStore;
 use rsc_reliability::telemetry::trace::{export_jobs, import_jobs};
@@ -59,9 +60,8 @@ fn quotas_bind_in_full_simulation() {
         quotas.set(ProjectId::new(p), 8); // one node each, 12×8 = 96 of 512 GPUs
     }
     config.quotas = quotas;
-    let mut sim = ClusterSim::new(config, 99);
-    sim.run(SimDuration::from_days(5));
-    let util = sim.mean_utilization();
+    let view = ScenarioSpec::new(config, 99, 5).simulate();
+    let util = utilization(&view, 8);
     assert!(
         util < 0.35,
         "quotas capping 96/512 GPUs should depress utilization, got {util}"
