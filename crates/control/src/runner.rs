@@ -7,10 +7,10 @@
 //! same cache directory as open-loop snapshots: the prefix keeps the two
 //! artifact families from ever colliding on a shared fingerprint.
 //!
-//! [`ClosedLoopSpec::run`] executes through a
-//! [`ScenarioRunner`](rsc_sim::runner::ScenarioRunner), so closed-loop
-//! artifacts share the open-loop cache path: the chain-verified load, the
-//! atomic publish, and the runner's hit/miss/corrupt ledger.
+//! [`ClosedLoopSpec::run`] executes through a [`ScenarioRunner`], so
+//! closed-loop artifacts share the open-loop cache path: the
+//! chain-verified load, the atomic publish, and the runner's
+//! hit/miss/corrupt ledger.
 
 use std::sync::Arc;
 

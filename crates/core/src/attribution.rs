@@ -294,9 +294,9 @@ mod tests {
     #[test]
     fn failed_job_with_check_in_window_is_attributed() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::Failed, 2, 10));
+        store.push(record(1, JobStatus::Failed, 2, 10));
         // Check fires 5 minutes before job end.
-        store.push_health_event(health(
+        store.push(health(
             2,
             SimTime::from_hours(10) - SimDuration::from_mins(5),
             CheckKind::IbLink,
@@ -310,8 +310,8 @@ mod tests {
     #[test]
     fn check_outside_window_does_not_attribute() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::Failed, 2, 10));
-        store.push_health_event(health(
+        store.push(record(1, JobStatus::Failed, 2, 10));
+        store.push(health(
             2,
             SimTime::from_hours(10) - SimDuration::from_mins(30),
             CheckKind::IbLink,
@@ -324,8 +324,8 @@ mod tests {
     #[test]
     fn check_on_other_node_does_not_attribute() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::NodeFail, 2, 10));
-        store.push_health_event(health(3, SimTime::from_hours(10), CheckKind::IbLink));
+        store.push(record(1, JobStatus::NodeFail, 2, 10));
+        store.push(health(3, SimTime::from_hours(10), CheckKind::IbLink));
         let view = store.seal();
         let atts = attribute_failures(&view, &AttributionConfig::paper_default());
         assert!(!atts[0].is_attributed());
@@ -334,11 +334,11 @@ mod tests {
     #[test]
     fn most_specific_check_wins() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::Requeued, 2, 10));
+        store.push(record(1, JobStatus::Requeued, 2, 10));
         let at = SimTime::from_hours(10);
-        store.push_health_event(health(2, at, CheckKind::Ipmi));
-        store.push_health_event(health(2, at, CheckKind::PcieLink));
-        store.push_health_event(health(2, at, CheckKind::GpuAccessible));
+        store.push(health(2, at, CheckKind::Ipmi));
+        store.push(health(2, at, CheckKind::PcieLink));
+        store.push(health(2, at, CheckKind::GpuAccessible));
         let view = store.seal();
         let atts = attribute_failures(&view, &AttributionConfig::paper_default());
         assert_eq!(atts[0].cause, Some(FailureSymptom::PcieError));
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn completed_jobs_are_not_attributed() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::Completed, 2, 10));
+        store.push(record(1, JobStatus::Completed, 2, 10));
         let view = store.seal();
         let atts = attribute_failures(&view, &AttributionConfig::paper_default());
         assert!(atts.is_empty());
@@ -358,8 +358,8 @@ mod tests {
     fn cause_rates_skip_unattributed_user_failures() {
         let mut store = TelemetryStore::new("t", 4);
         // A user failure (no events) and a hardware NODE_FAIL.
-        store.push_job(record(1, JobStatus::Failed, 1, 10));
-        store.push_job(record(2, JobStatus::NodeFail, 2, 12));
+        store.push(record(1, JobStatus::Failed, 1, 10));
+        store.push(record(2, JobStatus::NodeFail, 2, 12));
         let view = store.seal();
         let rates = cause_rates(&view, &AttributionConfig::paper_default());
         // Only the NODE_FAIL shows up (as unattributed).
@@ -372,11 +372,11 @@ mod tests {
     #[test]
     fn calibration_counts_completed_jobs_with_events() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::Completed, 1, 10));
-        store.push_job(record(2, JobStatus::Completed, 2, 10));
-        store.push_job(record(3, JobStatus::Failed, 3, 10)); // not counted
-                                                             // An event during job 1's runtime only.
-        store.push_health_event(health(1, SimTime::from_hours(5), CheckKind::EthLink));
+        store.push(record(1, JobStatus::Completed, 1, 10));
+        store.push(record(2, JobStatus::Completed, 2, 10));
+        store.push(record(3, JobStatus::Failed, 3, 10)); // not counted
+                                                         // An event during job 1's runtime only.
+        store.push(health(1, SimTime::from_hours(5), CheckKind::EthLink));
         let view = store.seal();
         let frac = completed_jobs_seeing_checks(&view);
         assert!((frac - 0.5).abs() < 1e-9, "{frac}");
@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn calibration_zero_without_events() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, JobStatus::Completed, 1, 10));
+        store.push(record(1, JobStatus::Completed, 1, 10));
         let view = store.seal();
         assert_eq!(completed_jobs_seeing_checks(&view), 0.0);
     }

@@ -197,7 +197,7 @@ mod tests {
     fn store_with(events: Vec<(u32, u64, NodeEventKind)>, horizon_h: u64) -> TelemetryStore {
         let mut store = TelemetryStore::new("t", 4);
         for (node, at_h, kind) in events {
-            store.push_node_event(NodeEvent {
+            store.push(NodeEvent {
                 node: NodeId::new(node),
                 at: SimTime::from_hours(at_h),
                 kind,

@@ -138,7 +138,7 @@ mod tests {
 
     fn store(records: Vec<JobRecord>, nodes: u32, horizon_h: u64) -> TelemetryView {
         let mut s = TelemetryStore::new("t", nodes);
-        s.extend_jobs(records);
+        s.extend(records);
         s.set_horizon(SimTime::from_hours(horizon_h));
         s.seal()
     }

@@ -250,9 +250,9 @@ mod tests {
     #[test]
     fn requeued_attempts_group_into_one_run() {
         let mut store = TelemetryStore::new("t", 64);
-        store.push_job(record(1, None, 0, 0, 0, 10, JobStatus::NodeFail));
-        store.push_job(record(1, None, 1, 10, 11, 30, JobStatus::Completed));
-        store.push_job(record(2, None, 0, 0, 0, 5, JobStatus::Completed));
+        store.push(record(1, None, 0, 0, 0, 10, JobStatus::NodeFail));
+        store.push(record(1, None, 1, 10, 11, 30, JobStatus::Completed));
+        store.push(record(2, None, 0, 0, 0, 5, JobStatus::Completed));
         let runs = reconstruct_job_runs(&store.seal());
         assert_eq!(runs.len(), 2);
         let big = runs.iter().find(|r| r.attempts == 2).unwrap();
@@ -264,8 +264,8 @@ mod tests {
     #[test]
     fn explicit_run_ids_group_across_job_ids() {
         let mut store = TelemetryStore::new("t", 64);
-        store.push_job(record(1, Some(9), 0, 0, 0, 10, JobStatus::NodeFail));
-        store.push_job(record(2, Some(9), 0, 10, 10, 20, JobStatus::Completed));
+        store.push(record(1, Some(9), 0, 0, 0, 10, JobStatus::NodeFail));
+        store.push(record(2, Some(9), 0, 10, 10, 20, JobStatus::Completed));
         let runs = reconstruct_job_runs(&store.seal());
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].attempts, 2);
@@ -298,10 +298,10 @@ mod tests {
     #[test]
     fn high_priority_filter() {
         let mut store = TelemetryStore::new("t", 64);
-        store.push_job(record(1, None, 0, 0, 0, 30, JobStatus::Completed));
+        store.push(record(1, None, 0, 0, 0, 30, JobStatus::Completed));
         let mut low = record(2, None, 0, 0, 0, 30, JobStatus::Completed);
         low.qos = QosClass::Low;
-        store.push_job(low);
+        store.push(low);
         let runs = reconstruct_job_runs(&store.seal());
         let selected = long_high_priority_runs(&runs, SimDuration::from_hours(24));
         assert_eq!(selected.len(), 1);

@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn node_fails_count_without_attribution() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 1024, JobStatus::NodeFail, 120));
+        store.push(record(1, 1024, JobStatus::NodeFail, 120));
         let loss = goodput_loss(&store.seal(), &AttributionConfig::paper_default());
         assert!((loss.total_failure_loss - 512.0).abs() < 1e-9); // 0.5h × 1024
         assert_eq!(loss.total_preemption_loss, 0.0);
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn plain_user_failures_do_not_count() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 64, JobStatus::Failed, 120));
+        store.push(record(1, 64, JobStatus::Failed, 120));
         let loss = goodput_loss(&store.seal(), &AttributionConfig::paper_default());
         assert_eq!(loss.total_failure_loss, 0.0);
     }
@@ -168,11 +168,11 @@ mod tests {
         let mut victim = record(2, 16, JobStatus::Preempted, 240);
         victim.instigator = Some(JobId::new(9));
         victim.preempted_by = Some(JobId::new(9));
-        store.push_job(victim);
+        store.push(victim);
         // A preemption NOT caused by a failure requeue is excluded.
         let mut fresh = record(3, 16, JobStatus::Preempted, 240);
         fresh.preempted_by = Some(JobId::new(10));
-        store.push_job(fresh);
+        store.push(fresh);
         let loss = goodput_loss(&store.seal(), &AttributionConfig::paper_default());
         assert!((loss.total_preemption_loss - 8.0).abs() < 1e-9); // 0.5h × 16
         assert!((loss.preemption_share() - 1.0).abs() < 1e-9);
@@ -182,7 +182,7 @@ mod tests {
     fn checkpoint_fallbacks_price_as_fallback_loss() {
         use rsc_telemetry::store::CheckpointFallbackEvent;
         let mut store = TelemetryStore::new("t", 4);
-        store.push_ckpt_fallback(CheckpointFallbackEvent {
+        store.push(CheckpointFallbackEvent {
             at: SimTime::from_hours(5),
             job: JobId::new(1),
             gpus: 128,
@@ -202,8 +202,8 @@ mod tests {
     #[test]
     fn buckets_aggregate_by_power_of_two() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 1000, JobStatus::NodeFail, 120));
-        store.push_job(record(2, 1024, JobStatus::NodeFail, 120));
+        store.push(record(1, 1000, JobStatus::NodeFail, 120));
+        store.push(record(2, 1024, JobStatus::NodeFail, 120));
         let loss = goodput_loss(&store.seal(), &AttributionConfig::paper_default());
         assert_eq!(loss.by_size.len(), 1);
         assert_eq!(loss.by_size[0].gpus, 1024);

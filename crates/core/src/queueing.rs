@@ -104,10 +104,10 @@ mod tests {
     #[test]
     fn cells_partition_by_size_and_qos() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 8, QosClass::Low, 4));
-        store.push_job(record(2, 8, QosClass::Low, 2));
-        store.push_job(record(3, 8, QosClass::High, 0));
-        store.push_job(record(4, 256, QosClass::High, 1));
+        store.push(record(1, 8, QosClass::Low, 4));
+        store.push(record(2, 8, QosClass::Low, 2));
+        store.push(record(3, 8, QosClass::High, 0));
+        store.push(record(4, 256, QosClass::High, 1));
         let buckets = wait_by_size_and_qos(&store.seal());
         assert_eq!(buckets.len(), 3);
         let low8 = buckets
@@ -122,8 +122,8 @@ mod tests {
     #[test]
     fn mean_wait_over_all() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 8, QosClass::Low, 4));
-        store.push_job(record(2, 8, QosClass::High, 0));
+        store.push(record(1, 8, QosClass::Low, 4));
+        store.push(record(2, 8, QosClass::High, 0));
         assert!((mean_wait_hours(&store.seal()) - 2.0).abs() < 1e-9);
     }
 
@@ -132,7 +132,7 @@ mod tests {
         let mut store = TelemetryStore::new("t", 4);
         let mut r = record(1, 8, QosClass::Low, 4);
         r.started_at = None;
-        store.push_job(r);
+        store.push(r);
         let view = store.seal();
         assert!(wait_by_size_and_qos(&view).is_empty());
         assert_eq!(mean_wait_hours(&view), 0.0);

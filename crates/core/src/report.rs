@@ -132,9 +132,9 @@ mod tests {
     #[test]
     fn status_breakdown_fractions_sum_to_one() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 0, 8, 2, JobStatus::Completed));
-        store.push_job(record(2, 0, 8, 2, JobStatus::Failed));
-        store.push_job(record(3, 0, 16, 4, JobStatus::Completed));
+        store.push(record(1, 0, 8, 2, JobStatus::Completed));
+        store.push(record(2, 0, 8, 2, JobStatus::Failed));
+        store.push(record(3, 0, 16, 4, JobStatus::Completed));
         let shares = status_breakdown(&store.seal());
         let total_jobs: f64 = shares.iter().map(|s| s.job_fraction).sum();
         let total_gpu: f64 = shares.iter().map(|s| s.gpu_time_fraction).sum();
@@ -150,9 +150,9 @@ mod tests {
     #[test]
     fn size_distribution_counts_logical_jobs_once() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_job(record(1, 0, 8, 2, JobStatus::NodeFail));
-        store.push_job(record(1, 1, 8, 3, JobStatus::Completed));
-        store.push_job(record(2, 0, 16, 1, JobStatus::Completed));
+        store.push(record(1, 0, 8, 2, JobStatus::NodeFail));
+        store.push(record(1, 1, 8, 3, JobStatus::Completed));
+        store.push(record(2, 0, 16, 1, JobStatus::Completed));
         let dist = size_distribution(&store.seal());
         let eight = dist.iter().find(|s| s.gpus == 8).unwrap();
         assert!((eight.job_fraction - 0.5).abs() < 1e-9);

@@ -253,7 +253,7 @@ proptest! {
         jobs in prop::collection::vec(arb_job_record(), 0..40),
     ) {
         let mut store = TelemetryStore::new("t", 8);
-        store.extend_jobs(jobs.iter().cloned());
+        store.extend(jobs.iter().cloned());
         prop_assert_eq!(reconstruct_job_runs(&store.seal()), reference_job_runs(&jobs));
     }
 }
@@ -302,7 +302,7 @@ proptest! {
         jobs in prop::collection::vec(arb_wide_job_record(), 0..60),
     ) {
         let mut store = TelemetryStore::new("t", 8);
-        store.extend_jobs(jobs.iter().cloned());
+        store.extend(jobs.iter().cloned());
         prop_assert_eq!(reconstruct_job_runs(&store.seal()), reference_job_runs(&jobs));
     }
 }
@@ -323,12 +323,12 @@ struct Scenario {
 impl Scenario {
     fn seal(&self) -> TelemetryView {
         let mut store = TelemetryStore::new("t", NODES + 2);
-        store.extend_jobs(self.jobs.iter().cloned());
+        store.extend(self.jobs.iter().cloned());
         for &e in &self.health {
-            store.push_health_event(e);
+            store.push(e);
         }
         for &e in &self.fallbacks {
-            store.push_ckpt_fallback(e);
+            store.push(e);
         }
         store.seal()
     }
@@ -689,7 +689,7 @@ fn bucket_helpers_are_total_at_u32_max() {
         assert_eq!(power_of_two_bucket(gpus), TOP_SIZE_BUCKET);
 
         let mut store = TelemetryStore::new("t", 1);
-        store.push_job(JobRecord {
+        store.push(JobRecord {
             job: JobId::new(1),
             attempt: 0,
             run: None,
@@ -753,15 +753,15 @@ struct LemonScenario {
 impl LemonScenario {
     fn seal(&self) -> TelemetryView {
         let mut store = TelemetryStore::new("lemon", FOLD_NODES);
-        store.extend_jobs(self.jobs.iter().cloned());
+        store.extend(self.jobs.iter().cloned());
         for &e in &self.health {
-            store.push_health_event(e);
+            store.push(e);
         }
         for &e in &self.node_events {
-            store.push_node_event(e);
+            store.push(e);
         }
         for &e in &self.exclusions {
-            store.push_exclusion(e);
+            store.push(e);
         }
         store.set_horizon(SimTime::from_mins(FOLD_MINS));
         store.seal()
@@ -1121,7 +1121,7 @@ proptest! {
         let (events, horizon) = stream;
         let mut store = TelemetryStore::new("visits", FOLD_NODES);
         for e in events {
-            store.push_node_event(e);
+            store.push(e);
         }
         store.set_horizon(horizon);
         let view = store.seal();

@@ -88,7 +88,7 @@ fn synthetic_view(jobs: &[JobCase], visits: &[VisitCase]) -> TelemetryView {
     for (i, &&(start_h, runtime_h, gpus, pick)) in ordered.iter().enumerate() {
         let started_at = SimTime::from_hours(start_h as u64 % horizon_hours);
         let ended_at = started_at + SimDuration::from_hours(1 + runtime_h as u64 % 72);
-        store.push_job(JobRecord {
+        store.push(JobRecord {
             job: JobId::new(i as u64),
             attempt: 0,
             run: None,
@@ -120,7 +120,7 @@ fn synthetic_view(jobs: &[JobCase], visits: &[VisitCase]) -> TelemetryView {
     }
     node_events.sort_by_key(|e| e.at);
     for e in node_events {
-        store.push_node_event(e);
+        store.push(e);
     }
     store.set_horizon(horizon);
     store.seal()

@@ -101,8 +101,9 @@ impl QosClass {
 }
 
 impl std::fmt::Display for QosClass {
+    /// The label, padded to any requested width (`{:>8}`).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.pad(self.label())
     }
 }
 
@@ -309,6 +310,12 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn qos_display_honours_width() {
+        assert_eq!(format!("{:>8}", QosClass::Low), "     low");
+        assert_eq!(QosClass::High.to_string(), "high");
+    }
 
     fn spec(gpus: u32) -> JobSpec {
         JobSpec {

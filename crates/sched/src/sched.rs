@@ -196,7 +196,7 @@ struct FailedPlan {
 ///   lowest) occupant QoS tier, and the occupied nodes bucketed by that
 ///   tier, so preemption planning only visits nodes whose occupants are
 ///   *all* below the preemptor's tier;
-/// * the pending queue's values are [`PendEntry`] mirrors of each spec's
+/// * the pending queue's values are `PendEntry` mirrors of each spec's
 ///   scan fields, so a cycle's quick rejects run off the B-tree without
 ///   hashing into the jobs map.
 #[derive(Debug)]
@@ -286,11 +286,6 @@ impl Scheduler {
     /// Number of jobs currently running.
     pub fn running_count(&self) -> usize {
         self.jobs.iter_jobs().filter(|j| j.is_running()).count()
-    }
-
-    /// GPUs currently allocated to running jobs.
-    pub fn busy_gpus(&self) -> u64 {
-        self.pool.total_gpus() - self.pool.total_free_gpus()
     }
 
     /// Marks a node schedulable/unschedulable (health-state sync).
@@ -1008,7 +1003,7 @@ mod tests {
         );
         assert!(ok);
         assert_eq!(s.running_count(), 0);
-        assert_eq!(s.busy_gpus(), 0);
+        assert_eq!(s.pool().total_free_gpus(), s.pool().total_gpus());
         let rec = &s.records()[0];
         assert_eq!(rec.status, JobStatus::Completed);
         assert_eq!(
@@ -1055,7 +1050,7 @@ mod tests {
         assert_eq!(job.checkpointed_work, SimDuration::from_hours(2));
         assert_eq!(s.records()[0].status, JobStatus::NodeFail);
         // Both nodes freed even though only one failed.
-        assert_eq!(s.busy_gpus(), 0);
+        assert_eq!(s.pool().total_free_gpus(), s.pool().total_gpus());
     }
 
     #[test]
@@ -1256,7 +1251,7 @@ mod tests {
         s.submit(spec(2, 4, QosClass::Normal));
         let started = s.cycle(SimTime::from_mins(1));
         assert_eq!(started.len(), 2);
-        assert_eq!(s.busy_gpus(), 8);
+        assert_eq!(s.pool().total_free_gpus(), s.pool().total_gpus() - 8);
         let victims = s.interrupt_node(
             NodeId::new(0),
             InterruptCause::HealthCheck,

@@ -6,7 +6,7 @@
 //! shared [`ScenarioRunner`] with a [`MonitorTap`] attached (live on a
 //! cache miss, replayed on a hit), and how a sealed analysis is found
 //! (LRU, then the snapshot on disk). Every analysis body — JSON, both
-//! CSVs, SSE frames — comes out of one function, [`seal_analysis`], and
+//! CSVs, SSE frames — comes out of one function, `seal_analysis`, and
 //! the sealed snapshot is the only file the service writes.
 //! The socket layer in [`crate::server`] only moves bytes. That split is
 //! what makes the determinism contract testable: `handle` is a plain
@@ -187,14 +187,14 @@ impl ServiceState {
     }
 
     /// The sealed analysis for a fingerprint: LRU first, then the on-disk
-    /// snapshot replayed through [`seal_analysis`] (and re-inserted). All
+    /// snapshot replayed through `seal_analysis` (and re-inserted). All
     /// three paths — live execution, LRU hit, disk reload — render the
     /// identical bytes, because the analysis is a pure function of
     /// (fingerprint, sealed view, monitor config).
     ///
     /// # Errors
     ///
-    /// As [`Self::sealed_view`]: `Ok(None)` when no snapshot is on record.
+    /// As `sealed_view`: `Ok(None)` when no snapshot is on record.
     pub fn analysis_for(
         &self,
         fingerprint: u64,

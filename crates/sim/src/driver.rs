@@ -423,19 +423,19 @@ impl ClusterSim {
         if self.observers.is_empty() {
             // The common unobserved path moves the whole batch in one
             // extend instead of a per-record call.
-            self.telemetry.extend_jobs(records);
+            self.telemetry.extend(records);
             return;
         }
         for record in records {
             self.emit(&SimEvent::Job(&record));
-            self.telemetry.push_job(record);
+            self.telemetry.push(record);
         }
     }
 
     /// Records a health-check firing (and mirrors it to the bus).
     fn record_health_event(&mut self, event: HealthEvent) {
         self.emit(&SimEvent::Health(&event));
-        self.telemetry.push_health_event(event);
+        self.telemetry.push(event);
     }
 
     /// Flushes the staged detections into telemetry in one batched extend,
@@ -452,8 +452,7 @@ impl ClusterSim {
             }
             self.staged_detections = detections;
         }
-        self.telemetry
-            .extend_health_events(self.staged_detections.drain(..));
+        self.telemetry.extend(self.staged_detections.drain(..));
     }
 
     // ---- event handling ----
@@ -566,7 +565,7 @@ impl ClusterSim {
             component,
         } = plan;
         self.emit(&SimEvent::GroundTruth(&failure));
-        self.telemetry.push_ground_truth(failure);
+        self.telemetry.push(failure);
         let node = failure.node;
         if self.cluster.node_state(node) == NodeState::Remediation {
             return; // already out of service
@@ -726,7 +725,7 @@ impl ClusterSim {
             kind,
         };
         self.emit(&SimEvent::Node(&event));
-        self.telemetry.push_node_event(event);
+        self.telemetry.push(event);
     }
 
     /// Drains the control-plane command queue, applying commands in push
@@ -832,7 +831,7 @@ impl ClusterSim {
     /// the bus).
     fn record_control_action(&mut self, event: ControlActionEvent) {
         self.emit(&SimEvent::ControlAction(&event));
-        self.telemetry.push_control_action(event);
+        self.telemetry.push(event);
     }
 
     /// Resolves one controlled-release observation window on a
@@ -1023,7 +1022,7 @@ impl ClusterSim {
                 at: self.now,
             };
             self.emit(&SimEvent::Exclusion(&event));
-            self.telemetry.push_exclusion(event);
+            self.telemetry.push(event);
         }
     }
 
@@ -1089,7 +1088,7 @@ impl ClusterSim {
                 lost,
             };
             self.emit(&SimEvent::CkptFallback(&event));
-            self.telemetry.push_ckpt_fallback(event);
+            self.telemetry.push(event);
         }
     }
 

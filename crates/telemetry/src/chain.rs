@@ -1,7 +1,8 @@
 //! Content hashing for the telemetry log.
 //!
 //! Every telemetry stream has a content hash: its records are folded into
-//! a [`ChainHasher`] from [`GENESIS`] in append order ([`chain_digest`]).
+//! a [`ChainHasher`] from [`GENESIS`] in append order ([`chain_digest`]),
+//! each by its [`Record::chain`] over the stable ordinals defined here.
 //! The hash is a function of the record stream alone, so nothing stores
 //! it: the snapshot writer folds it while it writes, checkpointing the
 //! chain every [`crate::snapshot::SNAPSHOT_FRAME_ROWS`] rows, the framed
@@ -14,21 +15,14 @@
 //! splitmix64-style avalanche). It exists to catch corruption — bit flips,
 //! truncation, reordering, splicing — not adversaries.
 
-use rsc_cluster::ids::{JobId, JobRunId};
-use rsc_failure::injector::FailureEvent;
 use rsc_failure::modes::Severity;
 use rsc_failure::signals::SignalKind;
 use rsc_failure::taxonomy::FailureSymptom;
 use rsc_health::check::CheckKind;
-use rsc_health::monitor::HealthEvent;
-use rsc_sched::accounting::JobRecord;
 use rsc_sched::job::{JobStatus, QosClass};
-use rsc_sim_core::time::SimTime;
 
-use crate::store::{
-    CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
-    NodeEvent, NodeEventKind,
-};
+use crate::record::Record;
+use crate::store::{ControlActionKind, ControlTrigger, NodeEventKind};
 
 /// Seed digest every stream chain starts from ("rsc_log1").
 pub const GENESIS: u64 = 0x7273_635f_6c6f_6731;
@@ -93,7 +87,7 @@ impl ChainHasher {
 }
 
 #[inline]
-fn write_opt(h: &mut ChainHasher, v: Option<u64>) {
+pub(crate) fn write_opt(h: &mut ChainHasher, v: Option<u64>) {
     match v {
         None => h.write_u64(0),
         Some(v) => {
@@ -103,19 +97,8 @@ fn write_opt(h: &mut ChainHasher, v: Option<u64>) {
     }
 }
 
-/// A record that can be folded into a stream chain.
-///
-/// The encodings below — field order and the numeric ordinals assigned to
-/// enum variants — are part of the on-disk version-3 snapshot format
-/// (frame checkpoints are digests over them); changing any of them is a
-/// format break and requires a version bump. See `DESIGN.md` §11.
-pub trait ChainRecord {
-    /// Folds this record's content into `h`.
-    fn chain(&self, h: &mut ChainHasher);
-}
-
 /// Stable ordinal for a raw signal (part of the v3 format).
-fn signal_ordinal(kind: SignalKind) -> (u64, u64) {
+pub(crate) fn signal_ordinal(kind: SignalKind) -> (u64, u64) {
     match kind {
         SignalKind::Xid(x) => (0, u64::from(x.code())),
         SignalKind::PcieError => (1, 0),
@@ -133,7 +116,7 @@ fn signal_ordinal(kind: SignalKind) -> (u64, u64) {
 }
 
 /// Stable ordinal for a health check (part of the v3 format).
-fn check_ordinal(check: CheckKind) -> u64 {
+pub(crate) fn check_ordinal(check: CheckKind) -> u64 {
     match check {
         CheckKind::GpuAccessible => 0,
         CheckKind::GpuMemory => 1,
@@ -151,7 +134,7 @@ fn check_ordinal(check: CheckKind) -> u64 {
 }
 
 /// Stable ordinal for a failure symptom (part of the v3 format).
-fn symptom_ordinal(symptom: FailureSymptom) -> u64 {
+pub(crate) fn symptom_ordinal(symptom: FailureSymptom) -> u64 {
     match symptom {
         FailureSymptom::Oom => 0,
         FailureSymptom::GpuUnavailable => 1,
@@ -170,7 +153,7 @@ fn symptom_ordinal(symptom: FailureSymptom) -> u64 {
 }
 
 /// Stable ordinal for a job status (part of the v3 format).
-fn status_ordinal(status: JobStatus) -> u64 {
+pub(crate) fn status_ordinal(status: JobStatus) -> u64 {
     match status {
         JobStatus::Completed => 0,
         JobStatus::Failed => 1,
@@ -184,7 +167,7 @@ fn status_ordinal(status: JobStatus) -> u64 {
 }
 
 /// Stable ordinal for a QoS tier (part of the v3 format).
-fn qos_ordinal(qos: QosClass) -> u64 {
+pub(crate) fn qos_ordinal(qos: QosClass) -> u64 {
     match qos {
         QosClass::Low => 0,
         QosClass::Normal => 1,
@@ -193,7 +176,7 @@ fn qos_ordinal(qos: QosClass) -> u64 {
 }
 
 /// Stable ordinal for a node lifecycle kind (part of the v3 format).
-fn node_event_ordinal(kind: NodeEventKind) -> u64 {
+pub(crate) fn node_event_ordinal(kind: NodeEventKind) -> u64 {
     match kind {
         NodeEventKind::Drain => 0,
         NodeEventKind::EnterRemediation => 1,
@@ -208,7 +191,7 @@ fn node_event_ordinal(kind: NodeEventKind) -> u64 {
 }
 
 /// Stable ordinal for a control action kind (part of the v4 format).
-fn control_action_ordinal(kind: ControlActionKind) -> u64 {
+pub(crate) fn control_action_ordinal(kind: ControlActionKind) -> u64 {
     match kind {
         ControlActionKind::RemediateNode => 0,
         ControlActionKind::QuarantineNode => 1,
@@ -220,7 +203,7 @@ fn control_action_ordinal(kind: ControlActionKind) -> u64 {
 }
 
 /// Stable ordinal for a control trigger (part of the v4 format).
-fn control_trigger_ordinal(trigger: ControlTrigger) -> u64 {
+pub(crate) fn control_trigger_ordinal(trigger: ControlTrigger) -> u64 {
     match trigger {
         ControlTrigger::LemonSuspect => 0,
         ControlTrigger::MttfRegression => 1,
@@ -229,104 +212,17 @@ fn control_trigger_ordinal(trigger: ControlTrigger) -> u64 {
     }
 }
 
-fn severity_ordinal(severity: Severity) -> u64 {
+pub(crate) fn severity_ordinal(severity: Severity) -> u64 {
     match severity {
         Severity::High => 0,
         Severity::Low => 1,
     }
 }
 
-impl ChainRecord for JobRecord {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.job.raw());
-        h.write_u64(u64::from(self.attempt));
-        write_opt(h, self.run.map(JobRunId::raw));
-        h.write_u64(u64::from(self.gpus));
-        h.write_u64(qos_ordinal(self.qos));
-        h.write_u64(self.nodes.len() as u64);
-        for n in &self.nodes {
-            h.write_u64(u64::from(n.index()));
-        }
-        h.write_u64(self.enqueued_at.as_secs());
-        write_opt(h, self.started_at.map(SimTime::as_secs));
-        h.write_u64(self.ended_at.as_secs());
-        h.write_u64(status_ordinal(self.status));
-        write_opt(h, self.preempted_by.map(JobId::raw));
-        write_opt(h, self.instigator.map(JobId::raw));
-    }
-}
-
-impl ChainRecord for HealthEvent {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.at.as_secs());
-        h.write_u64(u64::from(self.node.index()));
-        h.write_u64(check_ordinal(self.check));
-        h.write_u64(severity_ordinal(self.severity));
-        match self.signal {
-            None => h.write_u64(0),
-            Some(kind) => {
-                let (tag, arg) = signal_ordinal(kind);
-                h.write_u64(1);
-                h.write_u64(tag);
-                h.write_u64(arg);
-            }
-        }
-        h.write_u64(u64::from(self.false_positive));
-    }
-}
-
-impl ChainRecord for NodeEvent {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.at.as_secs());
-        h.write_u64(u64::from(self.node.index()));
-        h.write_u64(node_event_ordinal(self.kind));
-    }
-}
-
-impl ChainRecord for ExclusionEvent {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.at.as_secs());
-        h.write_u64(u64::from(self.node.index()));
-        h.write_u64(self.job.raw());
-    }
-}
-
-impl ChainRecord for FailureEvent {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.at.as_secs());
-        h.write_u64(u64::from(self.node.index()));
-        h.write_u64(self.mode.0 as u64);
-        h.write_u64(symptom_ordinal(self.symptom));
-        h.write_u64(u64::from(self.permanent));
-    }
-}
-
-impl ChainRecord for CheckpointFallbackEvent {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.at.as_secs());
-        h.write_u64(self.job.raw());
-        h.write_u64(u64::from(self.gpus));
-        h.write_u64(u64::from(self.intervals));
-        h.write_u64(self.lost.as_secs());
-    }
-}
-
-impl ChainRecord for ControlActionEvent {
-    fn chain(&self, h: &mut ChainHasher) {
-        h.write_u64(self.at.as_secs());
-        h.write_u64(control_action_ordinal(self.kind));
-        h.write_u64(control_trigger_ordinal(self.trigger));
-        write_opt(h, self.node.map(|n| u64::from(n.index())));
-        write_opt(h, self.job.map(JobId::raw));
-        h.write_u64(u64::from(self.accepted));
-        h.write_u64(self.value);
-    }
-}
-
 /// Folds a whole record slice from [`GENESIS`] and returns the stream's
 /// chain head. [`crate::view::TelemetryView::chain_heads`] computes each
 /// stream's head with it.
-pub fn chain_digest<T: ChainRecord>(records: &[T]) -> u64 {
+pub fn chain_digest<T: Record>(records: &[T]) -> u64 {
     let mut h = ChainHasher::new(GENESIS);
     for r in records {
         r.chain(&mut h);
@@ -337,6 +233,9 @@ pub fn chain_digest<T: ChainRecord>(records: &[T]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::NodeEvent;
+    use rsc_failure::injector::FailureEvent;
+    use rsc_sim_core::time::SimTime;
 
     #[test]
     fn digest_is_non_destructive() {

@@ -8,9 +8,10 @@
 //! and seals into an immutable [`view::TelemetryView`] with the per-node,
 //! time-sorted indexes the analyses in `rsc-core` are built on — window
 //! queries on a sealed view are `&self` binary searches, so one run can be
-//! shared across analyses and threads. [`snapshot`] persists a sealed view
-//! to disk in a versioned, hand-rolled text format (the scenario cache's
-//! artifact), [`rolling`] provides the 30-day rolling failure-rate series
+//! shared across analyses and threads. [`record`] describes each of the
+//! seven record types once (section, row codec, chain fold), [`snapshot`]
+//! persists a sealed view to disk in a versioned, hand-rolled text format
+//! (the scenario cache's artifact), [`rolling`] provides the 30-day rolling failure-rate series
 //! behind the paper's Fig. 5, [`csv`] a dependency-free CSV exporter,
 //! [`json`] the workspace's one JSON writer (every JSON body is built
 //! with it), and [`trace`] a `sacct`-like job-trace schema so the analyses
@@ -36,6 +37,7 @@
 pub mod chain;
 pub mod csv;
 pub mod json;
+pub mod record;
 pub mod rolling;
 mod rows;
 pub mod snapshot;
@@ -43,7 +45,8 @@ pub mod store;
 pub mod trace;
 pub mod view;
 
-pub use chain::{ChainHasher, ChainRecord, GENESIS};
+pub use chain::{ChainHasher, GENESIS};
+pub use record::{Record, Streams};
 pub use store::{
     CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
     NodeEvent, NodeEventKind, SegmentStats, TelemetryStore,

@@ -1,7 +1,10 @@
-//! Row-level text codecs for telemetry records.
+//! The row-level text primitives the telemetry record codecs are built on.
 //!
-//! One encoder/decoder pair per stream, shared by every format version
-//! of the snapshot ([`crate::snapshot`]) and the job trace.
+//! Each stream's encoder/decoder pair is its [`Record`](crate::record::Record)
+//! impl, shared by every format version of the snapshot
+//! ([`crate::snapshot`]) and, for jobs, the trace; this module holds what
+//! they share: decimal writers, the signal and label tables, the
+//! [`write_rows`] loop and the [`Row`] cursor.
 //!
 //! Encoders append one row (no trailing newline) to a caller's buffer:
 //! integers are written digit by digit and labels are `&'static str`, so
@@ -17,20 +20,12 @@
 use std::io::{self, Write};
 
 use rsc_cluster::gpu::XidError;
-use rsc_cluster::ids::{JobId, NodeId, NodeList};
-use rsc_failure::injector::FailureEvent;
-use rsc_failure::modes::{ModeId, Severity};
+use rsc_cluster::ids::{NodeId, NodeList};
+use rsc_failure::modes::Severity;
 use rsc_failure::signals::SignalKind;
-use rsc_failure::taxonomy::FailureSymptom;
-use rsc_health::check::CheckKind;
-use rsc_health::monitor::HealthEvent;
-use rsc_sim_core::time::{SimDuration, SimTime};
 
-use crate::store::{
-    CheckpointFallbackEvent, ControlActionEvent, ControlActionKind, ControlTrigger, ExclusionEvent,
-    NodeEvent, NodeEventKind,
-};
-pub(crate) use crate::trace::{decode_job_row as decode_job, format_job_row as encode_job};
+use crate::record::Record;
+use crate::store::NodeEventKind;
 
 pub(crate) fn severity_label(s: Severity) -> &'static str {
     match s {
@@ -58,7 +53,7 @@ const PLAIN_SIGNALS: [(SignalKind, &str); 11] = [
 /// `xid<code>`; the catch-all [`XidError::Other`] encodes as `xido<code>`
 /// so that e.g. `Other(48)` and `DoubleBitEcc` (also code 48) stay
 /// distinct.
-fn push_signal(out: &mut Vec<u8>, s: SignalKind) {
+pub(crate) fn push_signal(out: &mut Vec<u8>, s: SignalKind) {
     match s {
         SignalKind::Xid(XidError::Other(code)) => {
             out.extend_from_slice(b"xido");
@@ -79,7 +74,7 @@ fn push_signal(out: &mut Vec<u8>, s: SignalKind) {
 }
 
 /// Decodes a signal tag; the empty tag is no signal.
-fn parse_signal(s: &[u8]) -> Option<Option<SignalKind>> {
+pub(crate) fn parse_signal(s: &[u8]) -> Option<Option<SignalKind>> {
     if s.is_empty() {
         return Some(None);
     }
@@ -145,15 +140,11 @@ pub(crate) fn push_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
 
 /// Writes each record's row and a newline to `w` through one reused row
 /// buffer: no allocation per row, and never more than one row held.
-pub(crate) fn write_rows<W: Write, T>(
-    w: &mut W,
-    records: &[T],
-    encode: impl Fn(&T, &mut Vec<u8>),
-) -> io::Result<()> {
+pub(crate) fn write_rows<W: Write, T: Record>(w: &mut W, records: &[T]) -> io::Result<()> {
     let buf = &mut Vec::new();
     for r in records {
         buf.clear();
-        encode(r, buf);
+        r.encode(buf);
         buf.push(b'\n');
         w.write_all(buf)?;
     }
@@ -317,154 +308,4 @@ impl<'a> Row<'a> {
             }
         }
     }
-}
-
-pub(crate) fn encode_health(e: &HealthEvent, out: &mut Vec<u8>) {
-    push_u64(out, e.at.as_secs());
-    out.push(b',');
-    push_u64(out, u64::from(e.node.index()));
-    out.push(b',');
-    out.extend_from_slice(e.check.label().as_bytes());
-    out.push(b',');
-    out.extend_from_slice(severity_label(e.severity).as_bytes());
-    out.push(b',');
-    if let Some(signal) = e.signal {
-        push_signal(out, signal);
-    }
-    out.push(b',');
-    out.push(b'0' + u8::from(e.false_positive));
-}
-
-pub(crate) fn decode_health(row: &[u8]) -> Result<HealthEvent, String> {
-    let mut f = Row::new(row, 6);
-    Ok(HealthEvent {
-        at: SimTime::from_secs(f.num("time")?),
-        node: NodeId::new(f.num("node")?),
-        check: f.label("check", &CheckKind::ALL, CheckKind::label)?,
-        severity: f.label("severity", &[Severity::High, Severity::Low], severity_label)?,
-        signal: f.parse("signal", parse_signal)?,
-        false_positive: f.flag("false_positive")?,
-    })
-}
-
-pub(crate) fn encode_node_event(e: &NodeEvent, out: &mut Vec<u8>) {
-    push_u64(out, e.at.as_secs());
-    out.push(b',');
-    push_u64(out, u64::from(e.node.index()));
-    out.push(b',');
-    out.extend_from_slice(node_event_kind_label(e.kind).as_bytes());
-}
-
-pub(crate) fn decode_node_event(row: &[u8], version: u32) -> Result<NodeEvent, String> {
-    let mut f = Row::new(row, 3);
-    Ok(NodeEvent {
-        at: SimTime::from_secs(f.num("time")?),
-        node: NodeId::new(f.num("node")?),
-        // The v1 vocabulary has no lifecycle kinds.
-        kind: f.label(
-            "node event kind",
-            &NodeEventKind::ALL[..if version < 2 { 3 } else { 9 }],
-            node_event_kind_label,
-        )?,
-    })
-}
-
-pub(crate) fn encode_exclusion(e: &ExclusionEvent, out: &mut Vec<u8>) {
-    push_u64(out, e.at.as_secs());
-    out.push(b',');
-    push_u64(out, u64::from(e.node.index()));
-    out.push(b',');
-    push_u64(out, e.job.raw());
-}
-
-pub(crate) fn decode_exclusion(row: &[u8]) -> Result<ExclusionEvent, String> {
-    let mut f = Row::new(row, 3);
-    Ok(ExclusionEvent {
-        at: SimTime::from_secs(f.num("time")?),
-        node: NodeId::new(f.num("node")?),
-        job: JobId::new(f.num("job")?),
-    })
-}
-
-pub(crate) fn encode_failure(e: &FailureEvent, out: &mut Vec<u8>) {
-    push_u64(out, e.at.as_secs());
-    out.push(b',');
-    push_u64(out, u64::from(e.node.index()));
-    out.push(b',');
-    push_u64(out, e.mode.0 as u64);
-    out.push(b',');
-    out.extend_from_slice(e.symptom.label().as_bytes());
-    out.push(b',');
-    out.push(b'0' + u8::from(e.permanent));
-}
-
-pub(crate) fn decode_failure(row: &[u8]) -> Result<FailureEvent, String> {
-    let mut f = Row::new(row, 5);
-    Ok(FailureEvent {
-        at: SimTime::from_secs(f.num("time")?),
-        node: NodeId::new(f.num("node")?),
-        mode: ModeId(f.num("mode")?),
-        symptom: f.label("symptom", &FailureSymptom::ALL, FailureSymptom::label)?,
-        permanent: f.flag("permanent")?,
-    })
-}
-
-pub(crate) fn encode_ckpt_fallback(e: &CheckpointFallbackEvent, out: &mut Vec<u8>) {
-    push_u64(out, e.at.as_secs());
-    out.push(b',');
-    push_u64(out, e.job.raw());
-    out.push(b',');
-    push_u64(out, u64::from(e.gpus));
-    out.push(b',');
-    push_u64(out, u64::from(e.intervals));
-    out.push(b',');
-    push_u64(out, e.lost.as_secs());
-}
-
-pub(crate) fn decode_ckpt_fallback(row: &[u8]) -> Result<CheckpointFallbackEvent, String> {
-    let mut f = Row::new(row, 5);
-    Ok(CheckpointFallbackEvent {
-        at: SimTime::from_secs(f.num("time")?),
-        job: JobId::new(f.num("job")?),
-        gpus: f.num("gpus")?,
-        intervals: f.num("intervals")?,
-        lost: SimDuration::from_secs(f.num("lost")?),
-    })
-}
-
-pub(crate) fn encode_control_action(e: &ControlActionEvent, out: &mut Vec<u8>) {
-    push_u64(out, e.at.as_secs());
-    out.push(b',');
-    out.extend_from_slice(e.kind.label().as_bytes());
-    out.push(b',');
-    out.extend_from_slice(e.trigger.label().as_bytes());
-    out.push(b',');
-    push_opt_u64(out, e.node.map(|n| u64::from(n.index())));
-    out.push(b',');
-    push_opt_u64(out, e.job.map(|j| j.raw()));
-    out.push(b',');
-    out.push(b'0' + u8::from(e.accepted));
-    out.push(b',');
-    push_u64(out, e.value);
-}
-
-pub(crate) fn decode_control_action(row: &[u8]) -> Result<ControlActionEvent, String> {
-    let mut f = Row::new(row, 7);
-    Ok(ControlActionEvent {
-        at: SimTime::from_secs(f.num("time")?),
-        kind: f.label(
-            "control action kind",
-            &ControlActionKind::ALL,
-            ControlActionKind::label,
-        )?,
-        trigger: f.label(
-            "control trigger",
-            &ControlTrigger::ALL,
-            ControlTrigger::label,
-        )?,
-        node: f.opt_num("node")?.map(NodeId::new),
-        job: f.opt_num("job")?.map(JobId::new),
-        accepted: f.flag("accepted")?,
-        value: f.num("value")?,
-    })
 }

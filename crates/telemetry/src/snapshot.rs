@@ -50,19 +50,24 @@
 //! fallible-remediation vocabulary and the `ckpt_fallbacks` section to v1)
 //! remain fully readable; `write_snapshot_legacy` keeps emitting them for
 //! the back-compat fixtures.
+//!
+//! Every layout writes and reads each section through one generic pair,
+//! `write_section` and `read_section`, over the stream's [`Record`] impl,
+//! which supplies the keyword, row codec, chain fold and node ids. A
+//! section is present exactly when the version is at least its
+//! [`Record::SINCE`].
 
 use std::fmt;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
-use std::slice;
-
-use rsc_cluster::ids::NodeId;
 
 use rsc_sim_core::time::SimTime;
 
-use crate::chain::{ChainHasher, ChainRecord, GENESIS};
+use crate::chain::{ChainHasher, GENESIS};
+use crate::record::{Record, Streams};
 use crate::rows;
+use crate::store::Header;
 use crate::view::TelemetryView;
 
 /// Highest format version [`write_snapshot`] emits; bumped on any change
@@ -78,6 +83,8 @@ const MAGIC_V1: &str = "rsc-telemetry-snapshot v1";
 const MAGIC_V2: &str = "rsc-telemetry-snapshot v2";
 const MAGIC_V3: &str = "rsc-telemetry-snapshot v3";
 const MAGIC_V4: &str = "rsc-telemetry-snapshot v4";
+/// The version lines, version 1 first.
+const MAGICS: [&str; 4] = [MAGIC_V1, MAGIC_V2, MAGIC_V3, MAGIC_V4];
 
 /// Error from loading a snapshot.
 #[derive(Debug)]
@@ -137,67 +144,109 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Whether a view holds anything outside the version-1 vocabulary.
-fn has_v2_content(view: &TelemetryView) -> bool {
-    !view.ckpt_fallbacks().is_empty() || view.node_events().iter().any(|e| !e.kind.is_v1())
+/// The version the writers pick for `view` in the framed (v3/v4) or the
+/// unframed (v1/v2) layout. v4 needs control actions, so open-loop views
+/// keep the v3 bytes; v2 needs something outside the v1 vocabulary.
+fn version_for(view: &TelemetryView, framed: bool) -> u32 {
+    if framed {
+        return 3 + u32::from(!view.control_actions().is_empty());
+    }
+    let v2 =
+        !view.ckpt_fallbacks().is_empty() || view.node_events().iter().any(|e| !e.kind.is_v1());
+    1 + u32::from(v2)
 }
 
-/// Whether a view needs the version-4 format (closed-loop control
-/// actions). Open-loop views keep the version-3 bytes.
-fn has_v4_content(view: &TelemetryView) -> bool {
-    !view.control_actions().is_empty()
+/// Digest over the header fields and every stream head: the trailing
+/// `chain` line of a framed snapshot.
+fn combined_chain(header: &Header, frame_rows: usize, heads: &[u64]) -> u64 {
+    let mut h = ChainHasher::new(GENESIS);
+    h.write_bytes(header.cluster_name.as_bytes());
+    h.write_u64(u64::from(header.num_nodes));
+    h.write_u64(header.horizon.as_secs());
+    h.write_u64(header.gpu_swaps);
+    h.write_u64(frame_rows as u64);
+    for &head in heads {
+        h.write_u64(head);
+    }
+    h.digest()
 }
 
-fn reject_newline_name(view: &TelemetryView) -> io::Result<()> {
+/// Writes the sections of one snapshot version: framed when `frame_rows`
+/// is set (v3/v4), unframed otherwise (v1/v2).
+struct SectionWriter<'a, W> {
+    w: &'a mut W,
+    version: u32,
+    frame_rows: Option<usize>,
+    /// The chain heads of the framed sections written, in file order.
+    heads: Vec<u64>,
+}
+
+impl<W: Write> SectionWriter<'_, W> {
+    /// Writes the section of `records` when this version has one. A
+    /// framed section folds the stream's chain as it writes,
+    /// checkpointing it before each frame's rows, and records the head.
+    fn write_section<T: Record>(&mut self, records: &[T]) -> io::Result<()> {
+        if self.version < T::SINCE {
+            return Ok(());
+        }
+        writeln!(self.w, "{} {}", T::SECTION, records.len())?;
+        let Some(frame_rows) = self.frame_rows else {
+            return rows::write_rows(self.w, records);
+        };
+        let mut h = ChainHasher::new(GENESIS);
+        for chunk in records.chunks(frame_rows) {
+            for r in chunk {
+                r.chain(&mut h);
+            }
+            writeln!(self.w, "frame {} {:016x}", chunk.len(), h.digest())?;
+            rows::write_rows(self.w, chunk)?;
+        }
+        self.heads.push(h.digest());
+        Ok(())
+    }
+}
+
+/// Writes `view` framed when `frame_rows` is set, unframed otherwise, in
+/// the version its content needs: the header, every section the version
+/// has, and for a framed layout the trailing `chain` line.
+fn write_layout<W: Write>(
+    w: &mut W,
+    view: &TelemetryView,
+    frame_rows: Option<usize>,
+) -> io::Result<()> {
+    let version = version_for(view, frame_rows.is_some());
     if view.cluster_name().contains(['\n', '\r']) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "cluster name contains a newline",
         ));
     }
-    Ok(())
-}
-
-/// Writes one framed v3 stream section and returns its chain head.
-fn write_section<W: Write, T: ChainRecord>(
-    w: &mut W,
-    name: &str,
-    records: &[T],
-    frame_rows: usize,
-    encode: impl Fn(&T, &mut Vec<u8>),
-) -> io::Result<u64> {
-    writeln!(w, "{name} {}", records.len())?;
-    let mut h = ChainHasher::new(GENESIS);
-    for chunk in records.chunks(frame_rows) {
-        for r in chunk {
-            r.chain(&mut h);
-        }
-        writeln!(w, "frame {} {:016x}", chunk.len(), h.digest())?;
-        rows::write_rows(w, chunk, &encode)?;
+    writeln!(w, "{}", MAGICS[version as usize - 1])?;
+    writeln!(w, "cluster {}", view.cluster_name())?;
+    writeln!(w, "nodes {}", view.num_nodes())?;
+    writeln!(w, "horizon {}", view.horizon().as_secs())?;
+    writeln!(w, "gpu_swaps {}", view.gpu_swaps())?;
+    if let Some(frame_rows) = frame_rows {
+        writeln!(w, "frame_rows {frame_rows}")?;
     }
-    Ok(h.digest())
-}
-
-/// Digest over the header fields and every stream head: the trailing
-/// `chain` line of a framed snapshot.
-fn combined_chain(
-    name: &str,
-    num_nodes: u32,
-    horizon: SimTime,
-    gpu_swaps: u64,
-    frame_rows: usize,
-    heads: &[u64],
-) -> u64 {
-    let mut h = ChainHasher::new(GENESIS);
-    h.write_bytes(name.as_bytes());
-    h.write_u64(u64::from(num_nodes));
-    h.write_u64(horizon.as_secs());
-    h.write_u64(gpu_swaps);
-    h.write_u64(frame_rows as u64);
-    for &head in heads {
-        h.write_u64(head);
+    let mut out = SectionWriter {
+        w,
+        version,
+        frame_rows,
+        heads: Vec::new(),
+    };
+    out.write_section(view.jobs())?;
+    out.write_section(view.health_events())?;
+    out.write_section(view.node_events())?;
+    out.write_section(view.exclusions())?;
+    out.write_section(view.ground_truth_failures())?;
+    out.write_section(view.ckpt_fallbacks())?;
+    out.write_section(view.control_actions())?;
+    if let Some(frame_rows) = frame_rows {
+        let chain = combined_chain(&view.header, frame_rows, &out.heads);
+        writeln!(w, "chain {chain:016x}")?;
     }
-    h.digest()
+    writeln!(w, "end")
 }
 
 /// Writes a sealed view as a framed snapshot: chain checkpoints every
@@ -229,83 +278,7 @@ pub fn write_snapshot_with_frame_rows<W: Write>(
     frame_rows: usize,
 ) -> io::Result<()> {
     assert!(frame_rows >= 1, "frame_rows must be positive");
-    reject_newline_name(view)?;
-    let v4 = has_v4_content(view);
-    writeln!(w, "{}", if v4 { MAGIC_V4 } else { MAGIC_V3 })?;
-    writeln!(w, "cluster {}", view.cluster_name())?;
-    writeln!(w, "nodes {}", view.num_nodes())?;
-    writeln!(w, "horizon {}", view.horizon().as_secs())?;
-    writeln!(w, "gpu_swaps {}", view.gpu_swaps())?;
-    writeln!(w, "frame_rows {frame_rows}")?;
-    let mut heads = vec![
-        write_section(w, "jobs", view.jobs(), frame_rows, rows::encode_job)?,
-        write_section(
-            w,
-            "health",
-            view.health_events(),
-            frame_rows,
-            rows::encode_health,
-        )?,
-        write_section(
-            w,
-            "node_events",
-            view.node_events(),
-            frame_rows,
-            rows::encode_node_event,
-        )?,
-        write_section(
-            w,
-            "exclusions",
-            view.exclusions(),
-            frame_rows,
-            rows::encode_exclusion,
-        )?,
-        write_section(
-            w,
-            "failures",
-            view.ground_truth_failures(),
-            frame_rows,
-            rows::encode_failure,
-        )?,
-        write_section(
-            w,
-            "ckpt_fallbacks",
-            view.ckpt_fallbacks(),
-            frame_rows,
-            rows::encode_ckpt_fallback,
-        )?,
-    ];
-    if v4 {
-        heads.push(write_section(
-            w,
-            "control_actions",
-            view.control_actions(),
-            frame_rows,
-            rows::encode_control_action,
-        )?);
-    }
-    let chain = combined_chain(
-        view.cluster_name(),
-        view.num_nodes(),
-        view.horizon(),
-        view.gpu_swaps(),
-        frame_rows,
-        &heads,
-    );
-    writeln!(w, "chain {chain:016x}")?;
-    writeln!(w, "end")?;
-    Ok(())
-}
-
-/// Writes one unframed legacy section: the count line, then the rows.
-fn write_legacy_section<W: Write, T>(
-    w: &mut W,
-    name: &str,
-    records: &[T],
-    encode: impl Fn(&T, &mut Vec<u8>),
-) -> io::Result<()> {
-    writeln!(w, "{name} {}", records.len())?;
-    rows::write_rows(w, records, encode)
+    write_layout(w, view, Some(frame_rows))
 }
 
 /// Writes the legacy (version 1 or 2) snapshot encoding: version 1 when
@@ -319,38 +292,7 @@ fn write_legacy_section<W: Write, T>(
 /// newlines.
 #[doc(hidden)]
 pub fn write_snapshot_legacy<W: Write>(w: &mut W, view: &TelemetryView) -> io::Result<()> {
-    reject_newline_name(view)?;
-    let v2 = has_v2_content(view);
-    writeln!(w, "{}", if v2 { MAGIC_V2 } else { MAGIC_V1 })?;
-    writeln!(w, "cluster {}", view.cluster_name())?;
-    writeln!(w, "nodes {}", view.num_nodes())?;
-    writeln!(w, "horizon {}", view.horizon().as_secs())?;
-    writeln!(w, "gpu_swaps {}", view.gpu_swaps())?;
-    write_legacy_section(w, "jobs", view.jobs(), rows::encode_job)?;
-    write_legacy_section(w, "health", view.health_events(), rows::encode_health)?;
-    write_legacy_section(
-        w,
-        "node_events",
-        view.node_events(),
-        rows::encode_node_event,
-    )?;
-    write_legacy_section(w, "exclusions", view.exclusions(), rows::encode_exclusion)?;
-    write_legacy_section(
-        w,
-        "failures",
-        view.ground_truth_failures(),
-        rows::encode_failure,
-    )?;
-    if v2 {
-        write_legacy_section(
-            w,
-            "ckpt_fallbacks",
-            view.ckpt_fallbacks(),
-            rows::encode_ckpt_fallback,
-        )?;
-    }
-    writeln!(w, "end")?;
-    Ok(())
+    write_layout(w, view, None)
 }
 
 /// Line reader over a snapshot: one reused byte buffer plus the 1-based
@@ -427,116 +369,109 @@ impl<R: BufRead> Lines<R> {
         self.advance()?;
         self.number(self.value(keyword)?, what)
     }
-}
 
-/// Reads one framed v3 section, verifying every frame checkpoint, and
-/// returns the stream's records and chain head. Each record is hashed
-/// once, as it is decoded.
-fn read_framed_section<R: BufRead, T: ChainRecord>(
-    lines: &mut Lines<R>,
-    name: &str,
-    frame_rows: usize,
-    decode: impl Fn(&[u8]) -> Result<T, String>,
-) -> Result<(Vec<T>, u64), SnapshotError> {
-    let count: usize = lines.next_num(name, "count")?;
-    let mut records = Vec::new();
-    let mut h = ChainHasher::new(GENESIS);
-    let mut frame = 0u64;
-    while records.len() < count {
-        let consumed = records.len();
-        lines.advance()?;
-        let spec = lines.value("frame")?;
+    /// Reads the `frame <rows> <hash>` line of a section of `count` rows
+    /// with `consumed` already read: every frame but the last is full.
+    fn frame(
+        &mut self,
+        frame_rows: usize,
+        consumed: usize,
+        count: usize,
+    ) -> Result<(usize, u64), SnapshotError> {
+        self.advance()?;
+        let spec = self.value("frame")?;
         let Some(space) = spec.iter().position(|&b| b == b' ') else {
-            return Err(lines.unexpected("`frame <rows> <hash>`"));
+            return Err(self.unexpected("`frame <rows> <hash>`"));
         };
-        let rows: usize = lines.number(&spec[..space], "frame row count")?;
-        let expected = lines.hash(&spec[space + 1..])?;
+        let rows: usize = self.number(&spec[..space], "frame row count")?;
+        let hash = self.hash(&spec[space + 1..])?;
         if rows == 0 || rows > frame_rows {
-            return Err(lines.err(format!("frame of {rows} rows outside 1..={frame_rows}")));
+            return Err(self.err(format!("frame of {rows} rows outside 1..={frame_rows}")));
         }
         if consumed + rows < count && rows != frame_rows {
-            return Err(lines.err(format!(
+            return Err(self.err(format!(
                 "non-final frame has {rows} rows, expected {frame_rows}"
             )));
         }
         if consumed + rows > count {
-            return Err(lines.err(format!(
+            return Err(self.err(format!(
                 "frame overruns section: {consumed}+{rows} rows of {count}"
             )));
         }
-        for _ in 0..rows {
-            lines.advance()?;
-            let record = decode(lines.line()).map_err(|msg| lines.err(msg))?;
-            record.chain(&mut h);
-            records.push(record);
-        }
-        let actual = h.digest();
-        if actual != expected {
-            return Err(SnapshotError::Chain {
-                line: lines.line_no,
-                stream: name.to_string(),
-                frame,
-                expected,
-                actual,
-            });
-        }
-        frame += 1;
-    }
-    Ok((records, h.digest()))
-}
-
-/// Reads one unframed v1/v2 section. The legacy layout carries no
-/// checkpoints, so nothing here hashes.
-fn read_legacy_section<R: BufRead, T>(
-    lines: &mut Lines<R>,
-    name: &str,
-    decode: impl Fn(&[u8]) -> Result<T, String>,
-) -> Result<Vec<T>, SnapshotError> {
-    let count: usize = lines.next_num(name, "count")?;
-    let mut records = Vec::new();
-    for _ in 0..count {
-        lines.advance()?;
-        records.push(decode(lines.line()).map_err(|msg| lines.err(msg))?);
-    }
-    Ok(records)
-}
-
-/// Reads one section of either layout: framed when `frame_rows` is set,
-/// in which case the verified chain head is pushed onto `heads`. The
-/// section count never sizes an allocation ([`read_snapshot`] says why).
-fn read_section<R: BufRead, T: ChainRecord>(
-    lines: &mut Lines<R>,
-    name: &str,
-    frame_rows: Option<usize>,
-    heads: &mut Vec<u64>,
-    decode: impl Fn(&[u8]) -> Result<T, String>,
-) -> Result<Vec<T>, SnapshotError> {
-    match frame_rows {
-        Some(frame_rows) => {
-            let (records, head) = read_framed_section(lines, name, frame_rows, decode)?;
-            heads.push(head);
-            Ok(records)
-        }
-        None => read_legacy_section(lines, name, decode),
+        Ok((rows, hash))
     }
 }
 
-/// `decode`, refusing a row that names a node at or above the header's
-/// `num_nodes`: every per-node analysis indexes a fleet-sized array by it.
-fn in_fleet<T>(
+/// Reads the sections of one snapshot version: framed when `frame_rows`
+/// is set (v3/v4), unframed otherwise (v1/v2).
+struct SectionReader<'a, R> {
+    lines: &'a mut Lines<R>,
+    version: u32,
     num_nodes: u32,
-    decode: impl Fn(&[u8]) -> Result<T, String>,
-    nodes: impl Fn(&T) -> &[NodeId],
-) -> impl Fn(&[u8]) -> Result<T, String> {
-    move |row| {
-        let record = decode(row)?;
-        match nodes(&record).iter().find(|n| n.index() >= num_nodes) {
-            Some(n) => Err(format!(
-                "node {} outside the header's {num_nodes} nodes",
-                n.index()
-            )),
-            None => Ok(record),
+    frame_rows: Option<usize>,
+    /// The verified heads of the framed sections read, in file order.
+    heads: Vec<u64>,
+}
+
+impl<R: BufRead> SectionReader<'_, R> {
+    /// Reads stream `T`'s section when this version has one. A framed
+    /// section hashes each record once, as it decodes it, and refuses any
+    /// frame whose checkpoint does not match; an unframed one has nothing
+    /// to verify and is not hashed. A row naming a node at or above the
+    /// header's node count is refused: every per-node analysis indexes a
+    /// fleet-sized array by it. The stream grows from empty: its count
+    /// never sizes an allocation ([`read_snapshot`] says why).
+    fn read_section<T: Record>(&mut self) -> Result<Vec<T>, SnapshotError> {
+        let mut records = Vec::new();
+        if self.version < T::SINCE {
+            return Ok(records);
         }
+        let lines = &mut *self.lines;
+        let count: usize = lines.next_num(T::SECTION, "count")?;
+        let mut h = ChainHasher::new(GENESIS);
+        let mut frame = 0;
+        while records.len() < count {
+            // An unframed section is one frame of every row, unchecked.
+            let (rows, expected) = match self.frame_rows {
+                Some(frame_rows) => {
+                    let (rows, hash) = lines.frame(frame_rows, records.len(), count)?;
+                    (rows, Some(hash))
+                }
+                None => (count, None),
+            };
+            for _ in 0..rows {
+                lines.advance()?;
+                let record = T::decode(lines.line(), self.version).map_err(|m| lines.err(m))?;
+                if let Some(n) = record.nodes().iter().find(|n| n.index() >= self.num_nodes) {
+                    return Err(lines.err(format!(
+                        "node {} outside the header's {} nodes",
+                        n.index(),
+                        self.num_nodes
+                    )));
+                }
+                if expected.is_some() {
+                    record.chain(&mut h);
+                }
+                records.push(record);
+            }
+            if let Some(expected) = expected {
+                let actual = h.digest();
+                if actual != expected {
+                    return Err(SnapshotError::Chain {
+                        line: lines.line_no,
+                        stream: T::SECTION.to_string(),
+                        frame,
+                        expected,
+                        actual,
+                    });
+                }
+            }
+            frame += 1;
+        }
+        if self.frame_rows.is_some() {
+            self.heads.push(h.digest());
+        }
+        Ok(records)
     }
 }
 
@@ -576,7 +511,7 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
 
     lines.advance()?;
     let Some(version) = (1..)
-        .zip([MAGIC_V1, MAGIC_V2, MAGIC_V3, MAGIC_V4])
+        .zip(MAGICS)
         .find_map(|(v, magic)| (lines.line() == magic.as_bytes()).then_some(v))
     else {
         return Err(lines.err(format!(
@@ -585,13 +520,16 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
         )));
     };
     lines.advance()?;
-    let name = match std::str::from_utf8(lines.value("cluster")?) {
+    let cluster_name = match std::str::from_utf8(lines.value("cluster")?) {
         Ok(name) if !name.contains('\r') => name.to_string(),
         _ => return Err(lines.err("cluster name is not UTF-8 or holds a carriage return")),
     };
-    let num_nodes = lines.next_num("nodes", "node count")?;
-    let horizon = SimTime::from_secs(lines.next_num("horizon", "horizon")?);
-    let gpu_swaps = lines.next_num("gpu_swaps", "gpu_swaps")?;
+    let header = Header {
+        cluster_name,
+        num_nodes: lines.next_num("nodes", "node count")?,
+        horizon: SimTime::from_secs(lines.next_num("horizon", "horizon")?),
+        gpu_swaps: lines.next_num("gpu_swaps", "gpu_swaps")?,
+    };
 
     let frame_rows = if version >= 3 {
         let frame_rows: usize = lines.next_num("frame_rows", "frame_rows")?;
@@ -602,80 +540,29 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
     } else {
         None
     };
-    // The verified heads of the framed sections present, in file order.
-    let mut heads = Vec::new();
-    let jobs = read_section(
-        &mut lines,
-        "jobs",
+    let mut sections = SectionReader {
+        lines: &mut lines,
+        version,
+        num_nodes: header.num_nodes,
         frame_rows,
-        &mut heads,
-        in_fleet(num_nodes, rows::decode_job, |r| &r.nodes),
-    )?;
-    let health_events = read_section(
-        &mut lines,
-        "health",
-        frame_rows,
-        &mut heads,
-        in_fleet(num_nodes, rows::decode_health, |e| slice::from_ref(&e.node)),
-    )?;
-    let node_events = read_section(
-        &mut lines,
-        "node_events",
-        frame_rows,
-        &mut heads,
-        in_fleet(
-            num_nodes,
-            |row| rows::decode_node_event(row, version),
-            |e| slice::from_ref(&e.node),
-        ),
-    )?;
-    let exclusions = read_section(
-        &mut lines,
-        "exclusions",
-        frame_rows,
-        &mut heads,
-        in_fleet(num_nodes, rows::decode_exclusion, |e| {
-            slice::from_ref(&e.node)
-        }),
-    )?;
-    let failures = read_section(
-        &mut lines,
-        "failures",
-        frame_rows,
-        &mut heads,
-        in_fleet(num_nodes, rows::decode_failure, |e| {
-            slice::from_ref(&e.node)
-        }),
-    )?;
-    let ckpt_fallbacks = if version >= 2 {
-        read_section(
-            &mut lines,
-            "ckpt_fallbacks",
-            frame_rows,
-            &mut heads,
-            rows::decode_ckpt_fallback,
-        )?
-    } else {
-        Vec::new()
+        heads: Vec::new(),
     };
-    let control_actions = if version >= 4 {
-        read_section(
-            &mut lines,
-            "control_actions",
-            frame_rows,
-            &mut heads,
-            in_fleet(num_nodes, rows::decode_control_action, |e| {
-                e.node.as_slice()
-            }),
-        )?
-    } else {
-        Vec::new()
+    // A struct literal evaluates its fields as written: in section order.
+    let streams = Streams {
+        jobs: sections.read_section()?,
+        health: sections.read_section()?,
+        node_events: sections.read_section()?,
+        exclusions: sections.read_section()?,
+        failures: sections.read_section()?,
+        ckpt_fallbacks: sections.read_section()?,
+        control_actions: sections.read_section()?,
     };
+    let heads = sections.heads;
 
     if let Some(frame_rows) = frame_rows {
         lines.advance()?;
         let expected = lines.hash(lines.value("chain")?)?;
-        let actual = combined_chain(&name, num_nodes, horizon, gpu_swaps, frame_rows, &heads);
+        let actual = combined_chain(&header, frame_rows, &heads);
         if actual != expected {
             return Err(SnapshotError::Chain {
                 line: lines.line_no,
@@ -695,25 +582,10 @@ pub fn read_snapshot<R: BufRead>(r: R) -> Result<TelemetryView, SnapshotError> {
         lines.line_no += 1;
         return Err(lines.err("data after `end`"));
     }
-    let view = TelemetryView::from_parts(
-        name,
-        num_nodes,
-        horizon,
-        jobs,
-        health_events,
-        node_events,
-        exclusions,
-        failures,
-        ckpt_fallbacks,
-        control_actions,
-        gpu_swaps,
-    );
+    let view = TelemetryView::from_parts(header, streams);
     // The writer picks the version from the content; any other header on
     // the same content is a second spelling of it.
-    let canonical = match frame_rows {
-        Some(_) => 3 + u32::from(has_v4_content(&view)),
-        None => 1 + u32::from(has_v2_content(&view)),
-    };
+    let canonical = version_for(&view, frame_rows.is_some());
     if version != canonical {
         lines.line_no = 1;
         return Err(lines.err(format!("a v{version} header on v{canonical} content")));
@@ -769,7 +641,7 @@ mod tests {
         let mut store = TelemetryStore::new("RSC-T", 16);
         store.set_horizon(SimTime::from_hours(24));
         store.set_gpu_swaps(5);
-        store.push_job(JobRecord {
+        store.push(JobRecord {
             job: JobId::new(7),
             attempt: 1,
             run: Some(JobRunId::new(3)),
@@ -783,7 +655,7 @@ mod tests {
             preempted_by: None,
             instigator: Some(JobId::new(2)),
         });
-        store.push_health_event(HealthEvent {
+        store.push(HealthEvent {
             at: SimTime::from_secs(120),
             node: NodeId::new(4),
             check: CheckKind::GpuMemory,
@@ -791,7 +663,7 @@ mod tests {
             signal: Some(SignalKind::Xid(XidError::DoubleBitEcc)),
             false_positive: false,
         });
-        store.push_health_event(HealthEvent {
+        store.push(HealthEvent {
             at: SimTime::from_secs(130),
             node: NodeId::new(4),
             check: CheckKind::GpuDriver,
@@ -799,17 +671,17 @@ mod tests {
             signal: Some(SignalKind::Xid(XidError::Other(48))),
             false_positive: true,
         });
-        store.push_node_event(NodeEvent {
+        store.push(NodeEvent {
             node: NodeId::new(4),
             at: SimTime::from_secs(140),
             kind: NodeEventKind::EnterRemediation,
         });
-        store.push_exclusion(ExclusionEvent {
+        store.push(ExclusionEvent {
             node: NodeId::new(4),
             job: JobId::new(7),
             at: SimTime::from_secs(150),
         });
-        store.push_ground_truth(FailureEvent {
+        store.push(FailureEvent {
             at: SimTime::from_secs(115),
             node: NodeId::new(4),
             mode: ModeId(2),
@@ -960,32 +832,32 @@ mod tests {
     fn sample_v2_view() -> TelemetryView {
         let base = sample_view();
         let mut store = base.to_store();
-        store.push_node_event(NodeEvent {
+        store.push(NodeEvent {
             node: NodeId::new(4),
             at: SimTime::from_secs(200),
             kind: NodeEventKind::RepairAttemptFailed,
         });
-        store.push_node_event(NodeEvent {
+        store.push(NodeEvent {
             node: NodeId::new(4),
             at: SimTime::from_secs(210),
             kind: NodeEventKind::RepairEscalated,
         });
-        store.push_node_event(NodeEvent {
+        store.push(NodeEvent {
             node: NodeId::new(4),
             at: SimTime::from_secs(400),
             kind: NodeEventKind::EnterProbation,
         });
-        store.push_node_event(NodeEvent {
+        store.push(NodeEvent {
             node: NodeId::new(4),
             at: SimTime::from_secs(500),
             kind: NodeEventKind::ProbationFailed,
         });
-        store.push_node_event(NodeEvent {
+        store.push(NodeEvent {
             node: NodeId::new(4),
             at: SimTime::from_secs(900),
             kind: NodeEventKind::Quarantined,
         });
-        store.push_ckpt_fallback(CheckpointFallbackEvent {
+        store.push(CheckpointFallbackEvent {
             at: SimTime::from_secs(600),
             job: JobId::new(7),
             gpus: 16,
@@ -1065,7 +937,7 @@ mod tests {
     fn sample_v4_view() -> TelemetryView {
         let base = sample_v2_view();
         let mut store = base.to_store();
-        store.push_control_action(ControlActionEvent {
+        store.push(ControlActionEvent {
             at: SimTime::from_secs(700),
             kind: ControlActionKind::QuarantineNode,
             trigger: ControlTrigger::LemonSuspect,
@@ -1074,7 +946,7 @@ mod tests {
             accepted: true,
             value: 0,
         });
-        store.push_control_action(ControlActionEvent {
+        store.push(ControlActionEvent {
             at: SimTime::from_secs(710),
             kind: ControlActionKind::RetuneCheckpoint,
             trigger: ControlTrigger::MttfRegression,

@@ -6,7 +6,9 @@
 //! transitions, user node-exclusion lists, and — unavailable in production
 //! but invaluable for validation — the ground-truth failure injections.
 //!
-//! Each stream is a plain append-only `Vec`; nothing here hashes.
+//! The streams are one [`Streams`]: a plain append-only `Vec` per
+//! [`Record`] type, filled through the generic [`TelemetryStore::push`]
+//! and [`TelemetryStore::extend`]; nothing here hashes.
 //! [`TelemetryStore::seal`] hands the records over to the fully-indexed
 //! [`TelemetryView`](crate::view::TelemetryView) the analyses consume.
 
@@ -17,6 +19,8 @@ use rsc_failure::injector::FailureEvent;
 use rsc_health::monitor::HealthEvent;
 use rsc_sched::accounting::JobRecord;
 use rsc_sim_core::time::{SimDuration, SimTime};
+
+use crate::record::{Record, Streams};
 
 /// A node lifecycle transition.
 ///
@@ -223,20 +227,20 @@ pub struct SegmentStats {
     pub append_s: f64,
 }
 
+/// The fields a snapshot's header carries ahead of the streams.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Header {
+    pub(crate) cluster_name: String,
+    pub(crate) num_nodes: u32,
+    pub(crate) horizon: SimTime,
+    pub(crate) gpu_swaps: u64,
+}
+
 /// All telemetry collected from one simulated cluster run.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryStore {
-    cluster_name: String,
-    num_nodes: u32,
-    horizon: SimTime,
-    jobs: Vec<JobRecord>,
-    health_events: Vec<HealthEvent>,
-    node_events: Vec<NodeEvent>,
-    exclusions: Vec<ExclusionEvent>,
-    ground_truth_failures: Vec<FailureEvent>,
-    ckpt_fallbacks: Vec<CheckpointFallbackEvent>,
-    control_actions: Vec<ControlActionEvent>,
-    gpu_swaps: u64,
+    pub(crate) header: Header,
+    pub(crate) streams: Streams,
     time_appends: bool,
     append_nanos: u64,
 }
@@ -244,11 +248,10 @@ pub struct TelemetryStore {
 impl TelemetryStore {
     /// Creates an empty store for a cluster.
     pub fn new(cluster_name: impl Into<String>, num_nodes: u32) -> Self {
-        TelemetryStore {
-            cluster_name: cluster_name.into(),
-            num_nodes,
-            ..TelemetryStore::default()
-        }
+        let mut store = TelemetryStore::default();
+        store.header.cluster_name = cluster_name.into();
+        store.header.num_nodes = num_nodes;
+        store
     }
 
     /// Measures wall time spent inside append calls from now on (for the
@@ -268,33 +271,33 @@ impl TelemetryStore {
 
     /// The cluster this telemetry came from.
     pub fn cluster_name(&self) -> &str {
-        &self.cluster_name
+        &self.header.cluster_name
     }
 
     /// Number of nodes in the cluster.
     pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.header.num_nodes
     }
 
     /// End of the measurement window.
     pub fn horizon(&self) -> SimTime {
-        self.horizon
+        self.header.horizon
     }
 
     /// Sets the measurement horizon (called once by the simulation driver).
     pub fn set_horizon(&mut self, horizon: SimTime) {
-        self.horizon = horizon;
+        self.header.horizon = horizon;
     }
 
     /// Total GPU swaps performed by repairs over the run — the paper
     /// corroborates failure-rate differences with GPU swap rates (§III).
     pub fn gpu_swaps(&self) -> u64 {
-        self.gpu_swaps
+        self.header.gpu_swaps
     }
 
     /// Records the cumulative GPU swap count (driver-maintained).
     pub fn set_gpu_swaps(&mut self, swaps: u64) {
-        self.gpu_swaps = swaps;
+        self.header.gpu_swaps = swaps;
     }
 
     #[inline]
@@ -309,103 +312,54 @@ impl TelemetryStore {
         }
     }
 
-    /// Appends a job accounting record.
-    pub fn push_job(&mut self, record: JobRecord) {
+    /// Appends one record to its stream.
+    pub fn push<T: Record>(&mut self, record: T) {
         let t0 = self.append_timer();
-        self.jobs.push(record);
+        T::stream_mut(&mut self.streams).push(record);
         self.note_append(t0);
     }
 
-    /// Appends many job records.
-    pub fn extend_jobs<I: IntoIterator<Item = JobRecord>>(&mut self, records: I) {
+    /// Appends many records to their stream.
+    pub fn extend<T: Record>(&mut self, records: impl IntoIterator<Item = T>) {
         let t0 = self.append_timer();
-        self.jobs.extend(records);
-        self.note_append(t0);
-    }
-
-    /// Appends a health event.
-    pub fn push_health_event(&mut self, event: HealthEvent) {
-        let t0 = self.append_timer();
-        self.health_events.push(event);
-        self.note_append(t0);
-    }
-
-    /// Appends many health events.
-    pub fn extend_health_events<I: IntoIterator<Item = HealthEvent>>(&mut self, events: I) {
-        let t0 = self.append_timer();
-        self.health_events.extend(events);
-        self.note_append(t0);
-    }
-
-    /// Appends a node lifecycle event.
-    pub fn push_node_event(&mut self, event: NodeEvent) {
-        let t0 = self.append_timer();
-        self.node_events.push(event);
-        self.note_append(t0);
-    }
-
-    /// Appends a user node-exclusion event.
-    pub fn push_exclusion(&mut self, event: ExclusionEvent) {
-        let t0 = self.append_timer();
-        self.exclusions.push(event);
-        self.note_append(t0);
-    }
-
-    /// Appends a ground-truth failure injection.
-    pub fn push_ground_truth(&mut self, event: FailureEvent) {
-        let t0 = self.append_timer();
-        self.ground_truth_failures.push(event);
-        self.note_append(t0);
-    }
-
-    /// Appends a checkpoint-fallback event.
-    pub fn push_ckpt_fallback(&mut self, event: CheckpointFallbackEvent) {
-        let t0 = self.append_timer();
-        self.ckpt_fallbacks.push(event);
-        self.note_append(t0);
-    }
-
-    /// Appends a closed-loop control action.
-    pub fn push_control_action(&mut self, event: ControlActionEvent) {
-        let t0 = self.append_timer();
-        self.control_actions.push(event);
+        T::stream_mut(&mut self.streams).extend(records);
         self.note_append(t0);
     }
 
     /// Job accounting records, in completion order.
     pub fn jobs(&self) -> &[JobRecord] {
-        &self.jobs
+        &self.streams.jobs
     }
 
     /// Health events, in detection order.
     pub fn health_events(&self) -> &[HealthEvent] {
-        &self.health_events
+        &self.streams.health
     }
 
     /// Node lifecycle events.
     pub fn node_events(&self) -> &[NodeEvent] {
-        &self.node_events
+        &self.streams.node_events
     }
 
     /// User node exclusions.
     pub fn exclusions(&self) -> &[ExclusionEvent] {
-        &self.exclusions
+        &self.streams.exclusions
     }
 
     /// Ground-truth failure injections (not available to "operators";
     /// used to validate attribution and detection).
     pub fn ground_truth_failures(&self) -> &[FailureEvent] {
-        &self.ground_truth_failures
+        &self.streams.failures
     }
 
     /// Checkpoint-fallback events, in occurrence order.
     pub fn ckpt_fallbacks(&self) -> &[CheckpointFallbackEvent] {
-        &self.ckpt_fallbacks
+        &self.streams.ckpt_fallbacks
     }
 
     /// Closed-loop control actions, in drain order.
     pub fn control_actions(&self) -> &[ControlActionEvent] {
-        &self.control_actions
+        &self.streams.control_actions
     }
 
     /// Seals the store into an immutable, fully-indexed
@@ -416,18 +370,6 @@ impl TelemetryStore {
     /// point window queries are `&self` binary searches and the view can
     /// be shared freely across analyses and threads.
     pub fn seal(self) -> crate::view::TelemetryView {
-        crate::view::TelemetryView::from_parts(
-            self.cluster_name,
-            self.num_nodes,
-            self.horizon,
-            self.jobs,
-            self.health_events,
-            self.node_events,
-            self.exclusions,
-            self.ground_truth_failures,
-            self.ckpt_fallbacks,
-            self.control_actions,
-            self.gpu_swaps,
-        )
+        crate::view::TelemetryView::from_parts(self.header, self.streams)
     }
 }

@@ -11,13 +11,12 @@
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use rsc_cluster::ids::{JobId, JobRunId};
 use rsc_sched::accounting::JobRecord;
-use rsc_sched::job::{JobStatus, QosClass};
-use rsc_sim_core::time::SimTime;
 
 use crate::csv::format_row;
-use crate::rows::{push_opt_u64, push_u64, write_rows, Row};
+use crate::record::Record;
+use crate::rows::write_rows;
+use crate::snapshot::SNAPSHOT_VERSION;
 
 /// Error from parsing a job-trace CSV.
 #[derive(Debug)]
@@ -52,70 +51,15 @@ pub const TRACE_HEADER: [&str; 12] = [
     "instigator",
 ];
 
-/// Appends one record as a trace CSV row (no trailing newline) to `out`.
-///
-/// Shared by [`export_jobs`] and the snapshot codec ([`crate::snapshot`])
-/// so both serialize jobs byte-identically. Every
-/// field is an integer or a fixed label, none of which needs CSV quoting.
-pub fn format_job_row(r: &JobRecord, out: &mut Vec<u8>) {
-    push_u64(out, r.job.raw());
-    out.push(b',');
-    push_u64(out, u64::from(r.attempt));
-    out.push(b',');
-    push_opt_u64(out, r.run.map(|x| x.raw()));
-    out.push(b',');
-    push_u64(out, u64::from(r.gpus));
-    out.push(b',');
-    out.extend_from_slice(r.qos.label().as_bytes());
-    out.push(b',');
-    for (i, n) in r.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(b';');
-        }
-        push_u64(out, u64::from(n.index()));
-    }
-    out.push(b',');
-    push_u64(out, r.enqueued_at.as_secs());
-    out.push(b',');
-    push_opt_u64(out, r.started_at.map(|t| t.as_secs()));
-    out.push(b',');
-    push_u64(out, r.ended_at.as_secs());
-    out.push(b',');
-    out.extend_from_slice(r.status.label().as_bytes());
-    out.push(b',');
-    push_opt_u64(out, r.preempted_by.map(|x| x.raw()));
-    out.push(b',');
-    push_opt_u64(out, r.instigator.map(|x| x.raw()));
-}
-
-/// Writes job records as a trace CSV.
+/// Writes job records as a trace CSV; each row is the snapshot's jobs
+/// row ([`Record::encode`]).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn export_jobs<W: Write>(w: &mut W, records: &[JobRecord]) -> io::Result<()> {
     writeln!(w, "{}", format_row(TRACE_HEADER.iter().copied()))?;
-    write_rows(w, records, format_job_row)
-}
-
-/// Decodes one job row exactly as [`format_job_row`] writes it; shared by
-/// [`import_jobs`] and the snapshot codec. Callers attach the location.
-pub(crate) fn decode_job_row(row: &[u8]) -> Result<JobRecord, String> {
-    let mut f = Row::new(row, TRACE_HEADER.len());
-    Ok(JobRecord {
-        job: JobId::new(f.num("job id")?),
-        attempt: f.num("attempt")?,
-        run: f.opt_num("run id")?.map(JobRunId::new),
-        gpus: f.num("gpus")?,
-        qos: f.label("qos", &QosClass::ALL, QosClass::label)?,
-        nodes: f.nodes("node id")?,
-        enqueued_at: SimTime::from_secs(f.num("enqueued_at")?),
-        started_at: f.opt_num("started_at")?.map(SimTime::from_secs),
-        ended_at: SimTime::from_secs(f.num("ended_at")?),
-        status: f.label("status", &JobStatus::ALL, JobStatus::label)?,
-        preempted_by: f.opt_num("preempted_by")?.map(JobId::new),
-        instigator: f.opt_num("instigator")?.map(JobId::new),
-    })
+    write_rows(w, records)
 }
 
 /// Reads job records from a trace CSV in exactly the spelling
@@ -145,7 +89,8 @@ pub fn import_jobs<R: BufRead>(mut r: R) -> Result<Vec<JobRecord>, ParseTraceErr
         match line.pop() {
             _ if line_no == 1 => {}
             None => break,
-            Some(b'\n') => out.push(decode_job_row(&line).map_err(err)?),
+            // A trace row is a snapshot's jobs row, the same in every version.
+            Some(b'\n') => out.push(JobRecord::decode(&line, SNAPSHOT_VERSION).map_err(err)?),
             Some(_) => return Err(err("line does not end in a newline".to_string())),
         }
     }
@@ -155,7 +100,9 @@ pub fn import_jobs<R: BufRead>(mut r: R) -> Result<Vec<JobRecord>, ParseTraceErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsc_cluster::ids::NodeId;
+    use rsc_cluster::ids::{JobId, JobRunId, NodeId};
+    use rsc_sched::job::{JobStatus, QosClass};
+    use rsc_sim_core::time::SimTime;
     use std::io::BufReader;
 
     fn record(id: u64, status: JobStatus) -> JobRecord {

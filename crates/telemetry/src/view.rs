@@ -1,9 +1,10 @@
 //! The immutable, fully-indexed read side of the telemetry pipeline.
 //!
 //! [`TelemetryStore`](crate::store::TelemetryStore) is the append-only
-//! writer the simulation driver fills; sealing it produces a
-//! [`TelemetryView`]: a frozen copy of every stream plus per-node,
-//! time-sorted indexes built exactly once. Window queries on the view are
+//! writer the simulation driver fills; sealing it moves the store's one
+//! [`Streams`] into a [`TelemetryView`] (the snapshot reader builds one
+//! from decoded [`Streams`] the same way) and builds per-node,
+//! time-sorted indexes exactly once. Window queries on the view are
 //! `&self` binary searches, so any number of analyses — or threads, the
 //! view is `Send + Sync` — can share one sealed run.
 
@@ -16,7 +17,10 @@ use rsc_sched::accounting::JobRecord;
 use rsc_sim_core::time::SimTime;
 
 use crate::chain::chain_digest;
-use crate::store::{CheckpointFallbackEvent, ControlActionEvent, ExclusionEvent, NodeEvent};
+use crate::record::Streams;
+use crate::store::{
+    CheckpointFallbackEvent, ControlActionEvent, ExclusionEvent, Header, NodeEvent,
+};
 
 /// An immutable, sealed view over one run's telemetry.
 ///
@@ -26,18 +30,9 @@ use crate::store::{CheckpointFallbackEvent, ControlActionEvent, ExclusionEvent, 
 /// invalidated.
 #[derive(Debug, Clone)]
 pub struct TelemetryView {
-    cluster_name: String,
-    num_nodes: u32,
-    horizon: SimTime,
-    jobs: Vec<JobRecord>,
-    health_events: Vec<HealthEvent>,
-    node_events: Vec<NodeEvent>,
-    exclusions: Vec<ExclusionEvent>,
-    ground_truth_failures: Vec<FailureEvent>,
-    ckpt_fallbacks: Vec<CheckpointFallbackEvent>,
-    control_actions: Vec<ControlActionEvent>,
-    gpu_swaps: u64,
-    /// Per node: indices into `health_events`, sorted by (time, position).
+    pub(crate) header: Header,
+    streams: Streams,
+    /// Per node: indices into the health stream, sorted by (time, position).
     node_health_index: HashMap<NodeId, Vec<usize>>,
 }
 
@@ -57,35 +52,13 @@ fn build_health_index(health_events: &[HealthEvent]) -> HashMap<NodeId, Vec<usiz
 }
 
 impl TelemetryView {
-    /// Builds a view from the parts of a consumed store.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        cluster_name: String,
-        num_nodes: u32,
-        horizon: SimTime,
-        jobs: Vec<JobRecord>,
-        health_events: Vec<HealthEvent>,
-        node_events: Vec<NodeEvent>,
-        exclusions: Vec<ExclusionEvent>,
-        ground_truth_failures: Vec<FailureEvent>,
-        ckpt_fallbacks: Vec<CheckpointFallbackEvent>,
-        control_actions: Vec<ControlActionEvent>,
-        gpu_swaps: u64,
-    ) -> Self {
-        let index = build_health_index(&health_events);
+    /// Builds a view from a consumed store's header and streams.
+    pub(crate) fn from_parts(header: Header, streams: Streams) -> Self {
+        let node_health_index = build_health_index(&streams.health);
         TelemetryView {
-            cluster_name,
-            num_nodes,
-            horizon,
-            jobs,
-            health_events,
-            node_events,
-            exclusions,
-            ground_truth_failures,
-            ckpt_fallbacks,
-            control_actions,
-            gpu_swaps,
-            node_health_index: index,
+            header,
+            streams,
+            node_health_index,
         }
     }
 
@@ -95,71 +68,71 @@ impl TelemetryView {
     /// two views of the same records have the same heads.
     pub fn chain_heads(&self) -> [u64; 7] {
         [
-            chain_digest(&self.jobs),
-            chain_digest(&self.health_events),
-            chain_digest(&self.node_events),
-            chain_digest(&self.exclusions),
-            chain_digest(&self.ground_truth_failures),
-            chain_digest(&self.ckpt_fallbacks),
-            chain_digest(&self.control_actions),
+            chain_digest(self.jobs()),
+            chain_digest(self.health_events()),
+            chain_digest(self.node_events()),
+            chain_digest(self.exclusions()),
+            chain_digest(self.ground_truth_failures()),
+            chain_digest(self.ckpt_fallbacks()),
+            chain_digest(self.control_actions()),
         ]
     }
 
     /// The cluster this telemetry came from.
     pub fn cluster_name(&self) -> &str {
-        &self.cluster_name
+        &self.header.cluster_name
     }
 
     /// Number of nodes in the cluster.
     pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.header.num_nodes
     }
 
     /// End of the measurement window.
     pub fn horizon(&self) -> SimTime {
-        self.horizon
+        self.header.horizon
     }
 
     /// Total GPU swaps performed by repairs over the run.
     pub fn gpu_swaps(&self) -> u64 {
-        self.gpu_swaps
+        self.header.gpu_swaps
     }
 
     /// All job accounting records, in completion order.
     pub fn jobs(&self) -> &[JobRecord] {
-        &self.jobs
+        &self.streams.jobs
     }
 
     /// All health events, in detection order.
     pub fn health_events(&self) -> &[HealthEvent] {
-        &self.health_events
+        &self.streams.health
     }
 
     /// All node lifecycle events.
     pub fn node_events(&self) -> &[NodeEvent] {
-        &self.node_events
+        &self.streams.node_events
     }
 
     /// All user node exclusions.
     pub fn exclusions(&self) -> &[ExclusionEvent] {
-        &self.exclusions
+        &self.streams.exclusions
     }
 
     /// Ground-truth failure injections (not available to "operators";
     /// used to validate attribution and detection).
     pub fn ground_truth_failures(&self) -> &[FailureEvent] {
-        &self.ground_truth_failures
+        &self.streams.failures
     }
 
     /// All checkpoint-fallback events, in occurrence order.
     pub fn ckpt_fallbacks(&self) -> &[CheckpointFallbackEvent] {
-        &self.ckpt_fallbacks
+        &self.streams.ckpt_fallbacks
     }
 
     /// All closed-loop control actions, in drain order. Empty for every
     /// open-loop (controller-free) run.
     pub fn control_actions(&self) -> &[ControlActionEvent] {
-        &self.control_actions
+        &self.streams.control_actions
     }
 
     /// Health events on `node` within `[from, to]`, in time order.
@@ -174,16 +147,17 @@ impl TelemetryView {
         from: SimTime,
         to: SimTime,
     ) -> impl ExactSizeIterator<Item = &HealthEvent> + '_ {
+        let events = self.health_events();
         let idxs = self.node_health_index.get(&node).map_or(&[][..], |v| v);
-        let lo = idxs.partition_point(|&i| self.health_events[i].at < from);
-        let hi = idxs.partition_point(|&i| self.health_events[i].at <= to);
-        idxs[lo..hi].iter().map(|&i| &self.health_events[i])
+        let lo = idxs.partition_point(|&i| events[i].at < from);
+        let hi = idxs.partition_point(|&i| events[i].at <= to);
+        idxs[lo..hi].iter().map(move |&i| &events[i])
     }
 
     /// Total node-days of job runtime across all records (the failure-rate
     /// denominator), restricted to jobs using more than `min_gpus` GPUs.
     pub fn node_days_of_runtime(&self, min_gpus: u32) -> f64 {
-        self.jobs
+        self.jobs()
             .iter()
             .filter(|r| r.gpus > min_gpus)
             .map(|r| r.node_days())
@@ -194,29 +168,9 @@ impl TelemetryView {
     /// can derive a modified scenario from a sealed one.
     #[cfg(test)]
     pub(crate) fn to_store(&self) -> crate::store::TelemetryStore {
-        let mut store =
-            crate::store::TelemetryStore::new(self.cluster_name.clone(), self.num_nodes);
-        store.set_horizon(self.horizon);
-        store.set_gpu_swaps(self.gpu_swaps);
-        store.extend_jobs(self.jobs.iter().cloned());
-        for e in &self.health_events {
-            store.push_health_event(*e);
-        }
-        for e in &self.node_events {
-            store.push_node_event(*e);
-        }
-        for e in &self.exclusions {
-            store.push_exclusion(*e);
-        }
-        for e in &self.ground_truth_failures {
-            store.push_ground_truth(*e);
-        }
-        for e in &self.ckpt_fallbacks {
-            store.push_ckpt_fallback(*e);
-        }
-        for e in &self.control_actions {
-            store.push_control_action(*e);
-        }
+        let mut store = crate::store::TelemetryStore::default();
+        store.header = self.header.clone();
+        store.streams = self.streams.clone();
         store
     }
 }
@@ -285,10 +239,10 @@ mod tests {
     #[test]
     fn sealed_window_query_matches_oracle() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_health_event(health_event(1, 100));
-        store.push_health_event(health_event(1, 200));
-        store.push_health_event(health_event(2, 150));
-        store.push_health_event(health_event(1, 150));
+        store.push(health_event(1, 100));
+        store.push(health_event(1, 200));
+        store.push(health_event(2, 150));
+        store.push(health_event(1, 150));
         let view = store.seal();
         let got = query(&view, 1, 120, 300);
         // The index is time-sorted even where detection order is not.
@@ -300,9 +254,9 @@ mod tests {
     #[test]
     fn window_query_filters_by_node_and_time() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_health_event(health_event(1, 100));
-        store.push_health_event(health_event(1, 200));
-        store.push_health_event(health_event(2, 150));
+        store.push(health_event(1, 100));
+        store.push(health_event(1, 200));
+        store.push(health_event(2, 150));
         let view = store.seal();
         let hits = query(&view, 1, 150, 300);
         assert_eq!(hits.len(), 1);
@@ -325,7 +279,7 @@ mod tests {
             let node = (x >> 33) % (num_nodes as u64 + 2);
             let mut event = health_event(node as u32, (x >> 11) % 512);
             event.false_positive = i % 2 == 1;
-            store.push_health_event(event);
+            store.push(event);
         }
         let view = store.seal();
         for node in 0..num_nodes + 3 {
@@ -342,9 +296,9 @@ mod tests {
     #[test]
     fn window_bounds_are_inclusive() {
         let mut store = TelemetryStore::new("t", 4);
-        store.push_health_event(health_event(3, 100));
-        store.push_health_event(health_event(3, 200));
-        store.push_health_event(health_event(3, 300));
+        store.push(health_event(3, 100));
+        store.push(health_event(3, 200));
+        store.push(health_event(3, 300));
         let view = store.seal();
         let hits = view.health_events_for_node(
             NodeId::new(3),
@@ -374,9 +328,9 @@ mod tests {
         let mut store = TelemetryStore::new("rsc-test", 8);
         store.set_horizon(SimTime::from_hours(10));
         store.set_gpu_swaps(3);
-        store.push_job(job_record(8, 1, 24)); // 1 node-day
-        store.push_job(job_record(256, 32, 24)); // 32 node-days
-        store.push_health_event(health_event(1, 60));
+        store.push(job_record(8, 1, 24)); // 1 node-day
+        store.push(job_record(256, 32, 24)); // 32 node-days
+        store.push(health_event(1, 60));
         let view = store.seal();
         assert_eq!(view.cluster_name(), "rsc-test");
         assert_eq!(view.num_nodes(), 8);
@@ -392,8 +346,8 @@ mod tests {
     fn to_store_round_trips_all_streams() {
         let mut store = TelemetryStore::new("t", 4);
         store.set_horizon(SimTime::from_hours(1));
-        store.push_job(job_record(8, 1, 1));
-        store.push_health_event(health_event(1, 10));
+        store.push(job_record(8, 1, 1));
+        store.push(health_event(1, 10));
         let view = store.clone().seal();
         let back = view.to_store();
         assert_eq!(back.jobs(), store.jobs());

@@ -48,7 +48,7 @@ use common::{import_jobs_canonical as import_jobs, read_snapshot_canonical as re
 fn build_view(base: u64, health: usize, failures: usize) -> TelemetryView {
     let mut store = TelemetryStore::new("corrupt-me", 64);
     for i in 0..health {
-        store.push_health_event(HealthEvent {
+        store.push(HealthEvent {
             at: SimTime::from_secs(base + 7 * i as u64),
             node: NodeId::new((i % 64) as u32),
             check: CheckKind::ALL[i % CheckKind::ALL.len()],
@@ -62,7 +62,7 @@ fn build_view(base: u64, health: usize, failures: usize) -> TelemetryView {
         });
     }
     for i in 0..failures {
-        store.push_ground_truth(FailureEvent {
+        store.push(FailureEvent {
             at: SimTime::from_secs(base + 11 * i as u64),
             node: NodeId::new((i % 64) as u32),
             mode: ModeId(i % 5),
@@ -287,7 +287,7 @@ fn every_stream_view() -> TelemetryView {
     let at = SimTime::from_secs(100);
     let mut store = TelemetryStore::new("forge-me", 64);
     store.set_horizon(SimTime::from_days(1));
-    store.push_job(JobRecord {
+    store.push(JobRecord {
         job,
         attempt: 2,
         run: None,
@@ -301,7 +301,7 @@ fn every_stream_view() -> TelemetryView {
         preempted_by: None,
         instigator: None,
     });
-    store.push_health_event(HealthEvent {
+    store.push(HealthEvent {
         at,
         node,
         check: CheckKind::GpuMemory,
@@ -309,27 +309,27 @@ fn every_stream_view() -> TelemetryView {
         signal: None,
         false_positive: false,
     });
-    store.push_node_event(NodeEvent {
+    store.push(NodeEvent {
         node,
         at,
         kind: NodeEventKind::Drain,
     });
-    store.push_exclusion(ExclusionEvent { node, job, at });
-    store.push_ground_truth(FailureEvent {
+    store.push(ExclusionEvent { node, job, at });
+    store.push(FailureEvent {
         at,
         node,
         mode: ModeId(2),
         symptom: FailureSymptom::GpuMemoryError,
         permanent: true,
     });
-    store.push_ckpt_fallback(CheckpointFallbackEvent {
+    store.push(CheckpointFallbackEvent {
         at,
         job,
         gpus: 16,
         intervals: 2,
         lost: SimDuration::from_hours(1),
     });
-    store.push_control_action(ControlActionEvent {
+    store.push(ControlActionEvent {
         at,
         kind: ControlActionKind::QuarantineNode,
         trigger: ControlTrigger::LemonSuspect,
@@ -467,7 +467,7 @@ fn stray_node_view(section: &str) -> TelemetryView {
     let node = |own: &str, n: NodeId| if own == section { stray } else { n };
     let mut store = TelemetryStore::new("stray", 6);
     store.set_horizon(view.horizon());
-    store.extend_jobs(view.jobs().iter().cloned().map(|mut r| {
+    store.extend(view.jobs().iter().cloned().map(|mut r| {
         if section == "jobs" {
             r.nodes = r.nodes.iter().copied().chain([stray]).collect();
         }
@@ -475,26 +475,26 @@ fn stray_node_view(section: &str) -> TelemetryView {
     }));
     for &e in view.health_events() {
         let node = node("health", e.node);
-        store.push_health_event(HealthEvent { node, ..e });
+        store.push(HealthEvent { node, ..e });
     }
     for &e in view.node_events() {
         let node = node("node_events", e.node);
-        store.push_node_event(NodeEvent { node, ..e });
+        store.push(NodeEvent { node, ..e });
     }
     for &e in view.exclusions() {
         let node = node("exclusions", e.node);
-        store.push_exclusion(ExclusionEvent { node, ..e });
+        store.push(ExclusionEvent { node, ..e });
     }
     for &e in view.ground_truth_failures() {
         let node = node("failures", e.node);
-        store.push_ground_truth(FailureEvent { node, ..e });
+        store.push(FailureEvent { node, ..e });
     }
     for &e in view.ckpt_fallbacks() {
-        store.push_ckpt_fallback(e);
+        store.push(e);
     }
     for &e in view.control_actions() {
         let node = e.node.map(|n| node("control_actions", n));
-        store.push_control_action(ControlActionEvent { node, ..e });
+        store.push(ControlActionEvent { node, ..e });
     }
     store.seal()
 }

@@ -232,14 +232,14 @@ proptest! {
         // every drawn id folds into the fleet.
         let fleet = |node: NodeId| NodeId::new(node.index() % num_nodes);
         let mut store = TelemetryStore::new(&name, num_nodes);
-        store.extend_jobs(jobs.into_iter().map(|mut r| {
+        store.extend(jobs.into_iter().map(|mut r| {
             r.nodes = r.nodes.iter().map(|&n| fleet(n)).collect();
             r
         }));
-        for e in health { store.push_health_event(HealthEvent { node: fleet(e.node), ..e }); }
-        for e in node_events { store.push_node_event(NodeEvent { node: fleet(e.node), ..e }); }
-        for e in exclusions { store.push_exclusion(ExclusionEvent { node: fleet(e.node), ..e }); }
-        for e in failures { store.push_ground_truth(FailureEvent { node: fleet(e.node), ..e }); }
+        for e in health { store.push(HealthEvent { node: fleet(e.node), ..e }); }
+        for e in node_events { store.push(NodeEvent { node: fleet(e.node), ..e }); }
+        for e in exclusions { store.push(ExclusionEvent { node: fleet(e.node), ..e }); }
+        for e in failures { store.push(FailureEvent { node: fleet(e.node), ..e }); }
         store.set_horizon(SimTime::from_secs(horizon));
         store.set_gpu_swaps(gpu_swaps);
         let view = store.seal();
@@ -297,7 +297,7 @@ fn edit_sample(v4: bool) -> Vec<u8> {
     .enumerate()
     {
         let i = i as u64;
-        store.push_job(JobRecord {
+        store.push(JobRecord {
             job: JobId::new(10 + i),
             attempt: i as u32,
             run: (i > 0).then(|| JobRunId::new(i)),
@@ -316,7 +316,7 @@ fn edit_sample(v4: bool) -> Vec<u8> {
         .into_iter()
         .enumerate()
     {
-        store.push_health_event(HealthEvent {
+        store.push(HealthEvent {
             at: SimTime::from_secs(200 + i as u64),
             node: NodeId::new(i as u32),
             check: CheckKind::ALL[i],
@@ -329,24 +329,24 @@ fn edit_sample(v4: bool) -> Vec<u8> {
             false_positive: i == 1,
         });
     }
-    store.push_node_event(NodeEvent {
+    store.push(NodeEvent {
         node: NodeId::new(3),
         at: SimTime::from_secs(300),
         kind: NodeEventKind::Quarantined,
     });
-    store.push_exclusion(ExclusionEvent {
+    store.push(ExclusionEvent {
         node: NodeId::new(3),
         job: JobId::new(11),
         at: SimTime::from_secs(310),
     });
-    store.push_ground_truth(FailureEvent {
+    store.push(FailureEvent {
         at: SimTime::from_secs(290),
         node: NodeId::new(3),
         mode: ModeId(12),
         symptom: FailureSymptom::ALL[2],
         permanent: true,
     });
-    store.push_ckpt_fallback(CheckpointFallbackEvent {
+    store.push(CheckpointFallbackEvent {
         at: SimTime::from_secs(320),
         job: JobId::new(11),
         gpus: 16,
@@ -355,7 +355,7 @@ fn edit_sample(v4: bool) -> Vec<u8> {
     });
     if v4 {
         for (node, job) in [(Some(NodeId::new(3)), None), (None, Some(JobId::new(11)))] {
-            store.push_control_action(ControlActionEvent {
+            store.push(ControlActionEvent {
                 at: SimTime::from_secs(330),
                 kind: ControlActionKind::QuarantineNode,
                 trigger: ControlTrigger::LemonSuspect,

@@ -367,23 +367,13 @@ impl Streams {
         let mut store = TelemetryStore::new("parity", u32::MAX);
         store.set_horizon(SimTime::from_days(30));
         store.set_gpu_swaps(3);
-        store.extend_jobs(self.jobs.iter().cloned());
-        self.health.iter().for_each(|e| store.push_health_event(*e));
-        self.node_events
-            .iter()
-            .for_each(|e| store.push_node_event(*e));
-        self.exclusions
-            .iter()
-            .for_each(|e| store.push_exclusion(*e));
-        self.failures
-            .iter()
-            .for_each(|e| store.push_ground_truth(*e));
-        self.ckpt_fallbacks
-            .iter()
-            .for_each(|e| store.push_ckpt_fallback(*e));
-        self.control_actions
-            .iter()
-            .for_each(|e| store.push_control_action(*e));
+        store.extend(self.jobs.iter().cloned());
+        self.health.iter().for_each(|e| store.push(*e));
+        self.node_events.iter().for_each(|e| store.push(*e));
+        self.exclusions.iter().for_each(|e| store.push(*e));
+        self.failures.iter().for_each(|e| store.push(*e));
+        self.ckpt_fallbacks.iter().for_each(|e| store.push(*e));
+        self.control_actions.iter().for_each(|e| store.push(*e));
         store.seal()
     }
 

@@ -180,7 +180,7 @@ fn cmd_analyze(flags: &Args) -> Result<(), String> {
     let num_nodes = fleet_size(&records).map_err(|e| e.to_string())?;
     let mut store = TelemetryStore::new("trace", num_nodes);
     let horizon = records.iter().map(|r| r.ended_at).max().expect("non-empty");
-    store.extend_jobs(records);
+    store.extend(records);
     store.set_horizon(horizon);
     let store = store.seal();
 

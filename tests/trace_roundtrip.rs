@@ -28,7 +28,7 @@ fn analyses_survive_trace_serialization() {
     assert_eq!(records.len(), original.jobs().len());
 
     let mut reloaded = TelemetryStore::new("reloaded", original.num_nodes());
-    reloaded.extend_jobs(records);
+    reloaded.extend(records);
     reloaded.set_horizon(original.horizon());
     let reloaded = reloaded.seal();
 
